@@ -27,7 +27,7 @@ from .perm import (
     parse_permutation,
     statistics,
 )
-from .series import TruncatedSeries, q_exp_series, series_mul
+from .series import TruncatedSeries, q_exp_series
 from .rixfact import RixFactorization, rix, rix_factorize, rixed_points
 from .actions import (
     canonical_rep,
@@ -73,7 +73,6 @@ __all__ = [
     "statistics",
     "TruncatedSeries",
     "q_exp_series",
-    "series_mul",
     "RixFactorization",
     "rix",
     "rix_factorize",

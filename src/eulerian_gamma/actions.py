@@ -13,15 +13,12 @@ from typing import Iterable, Sequence
 
 from . import rixfact
 from .errors import LabelOutOfRange, NotInDomain
-from .perm import Permutation, WordT, as_word, dd_count
+from .perm import Permutation, WordT, as_word, dd_letters
 
 
-def x_factorization(
-    p: Permutation | Sequence[int], x: int
-) -> tuple[WordT, WordT, WordT, WordT]:
-    """sigma = w1 w2 x w3 w4 with w2 (w3) the maximal contiguous block
-    immediately left (right) of x whose letters are all smaller than x."""
-    w = as_word(p)
+def _x_blocks(w: WordT, x: int) -> tuple[int, int, int]:
+    """(lo, pos, hi) with w[pos] = x, and w[lo:pos] and w[pos+1:hi] the
+    maximal blocks of letters smaller than x immediately left and right of x."""
     n = len(w)
     if not 1 <= x <= n:
         raise LabelOutOfRange(f"label {x} not in 1..{n}")
@@ -32,38 +29,38 @@ def x_factorization(
     hi = pos + 1
     while hi < n and w[hi] < x:
         hi += 1
+    return lo, pos, hi
+
+
+def _hop(w: WordT, lo: int, pos: int, hi: int) -> WordT:
+    """w1 w3 x w2 w4, for the x-factorization w1 w2 x w3 w4 of _x_blocks."""
+    return w[:lo] + w[pos + 1: hi] + w[pos: pos + 1] + w[lo:pos] + w[hi:]
+
+
+def x_factorization(
+    p: Permutation | Sequence[int], x: int
+) -> tuple[WordT, WordT, WordT, WordT]:
+    """sigma = w1 w2 x w3 w4 with w2 (w3) the maximal contiguous block
+    immediately left (right) of x whose letters are all smaller than x."""
+    w = as_word(p)
+    lo, pos, hi = _x_blocks(w, x)
     return w[:lo], w[lo:pos], w[pos + 1: hi], w[hi:]
 
 
 def foata_strehl(p: Permutation | Sequence[int], x: int) -> WordT:
     """phi_x: swap the two small-letter blocks adjacent to x."""
-    w1, w2, w3, w4 = x_factorization(p, x)
-    return w1 + w3 + (x,) + w2 + w4
-
-
-def _letter_shape(w: WordT, x: int) -> str:
-    n = len(w)
-    inf = n + 1
-    i = w.index(x)
-    left = w[i - 1] if i > 0 else inf
-    right = w[i + 1] if i < n - 1 else inf
-    if left > x > right:
-        return "dd"
-    if left < x < right:
-        return "da"
-    if left < x > right:
-        return "peak"
-    return "valley"
+    w = as_word(p)
+    return _hop(w, *_x_blocks(w, x))
 
 
 def mfs_single(p: Permutation | Sequence[int], x: int) -> WordT:
-    """phi_x': hop x if it is a double ascent or double descent."""
+    """phi_x': hop x if it is a double ascent or double descent, i.e. if
+    exactly one of its two small-letter blocks is empty."""
     w = as_word(p)
-    if not 1 <= x <= len(w):
-        raise LabelOutOfRange(f"label {x} not in 1..{len(w)}")
-    if _letter_shape(w, x) in ("peak", "valley"):
+    lo, pos, hi = _x_blocks(w, x)
+    if (lo == pos) == (pos + 1 == hi):  # peak or valley
         return w
-    return foata_strehl(w, x)
+    return _hop(w, lo, pos, hi)
 
 
 def mfs(p: Permutation | Sequence[int], labels: Iterable[int]) -> WordT:
@@ -115,39 +112,18 @@ def canonical_rep(p: Permutation | Sequence[int], action: str = "mfs") -> WordT:
     """mfs: the unique orbit element without double descent.
 
     restricted: for sigma with rix(sigma) = 0, the unique orbit element
-    whose only double descent is beta1.  Each hop of a double descent
-    strictly decreases des, so the loops terminate.
+    whose only double descent is beta1.  Hops commute and each one toggles
+    only its own letter between double descent and double ascent, so one
+    set action on the double-descent letters reaches the representative.
     """
     w = as_word(p)
-    n = len(w)
-    inf = n + 1
     if action == "mfs":
-        while True:
-            x = _first_double_descent(w, None)
-            if x is None:
-                return w
-            w = mfs_single(w, x)
-    elif action == "restricted":
+        return mfs(w, dd_letters(w))
+    if action == "restricted":
         if rixfact.rix(w) != 0:
             raise NotInDomain(
                 "restricted canonical representative needs rix(sigma) = 0"
             )
-        while True:
-            frozen = rixfact.rix_factorize(w).beta1
-            x = _first_double_descent(w, frozen)
-            if x is None:
-                return w
-            w = restricted_mfs_single(w, x)
-    else:
-        raise ValueError(f"unknown action {action!r}")
-
-
-def _first_double_descent(w: WordT, skip: int | None) -> int | None:
-    n = len(w)
-    inf = n + 1
-    for i in range(n):
-        left = w[i - 1] if i > 0 else inf
-        right = w[i + 1] if i < n - 1 else inf
-        if left > w[i] > right and w[i] != skip:
-            return w[i]
-    return None
+        frozen = rixfact.rix_factorize(w).beta1
+        return restricted_mfs(w, set(dd_letters(w)) - {frozen})
+    raise ValueError(f"unknown action {action!r}")

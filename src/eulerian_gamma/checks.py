@@ -25,12 +25,14 @@ from .perm import (
     dd_count,
     des,
     des_set,
+    exc_count,
     fix_set,
     imaj,
     inv_count,
     is_alternating,
     is_derangement,
     maj,
+    words,
 )
 from .series import TruncatedSeries, from_slots
 
@@ -53,10 +55,6 @@ class VerificationReport:
             "elapsed_ms": round(self.elapsed * 1000, 3),
             "notes": list(self.notes),
         }
-
-
-def _perms(n: int):
-    return itertools.permutations(range(1, n + 1))
 
 
 def _t_power_sum(table: dict[int, MPoly], center: int) -> MPoly:
@@ -101,7 +99,7 @@ def _check_thm_1_4(n_max: int):
         except (MismatchAgainstDirect, NotExpandable) as exc:
             witnesses.append(f"n={n}: {exc}")
     for n in range(1, min(n_max, 8) + 1):
-        for w in _perms(n):
+        for w in words(n):
             rep = actions.canonical_rep(w, "mfs")
             if dd_count(rep) != 0:
                 witnesses.append(f"n={n}: rep of {w} has a double descent")
@@ -169,7 +167,7 @@ def _check_thm_1_3(n_max: int):
         witnesses.extend(foata_han_check(n))
     # set equalities behind the t = -1 reduction
     for n in range(1, min(n_max, 8) + 1):
-        for w in _perms(n):
+        for w in words(n):
             alt = is_alternating(w)
             if n % 2 == 1:
                 member = dd_count(w) == 0 and des(w) == (n - 1) // 2
@@ -195,7 +193,7 @@ def _check_lemma_1_7(n_max: int):
 def _check_lemma_2_1(n_max: int):
     witnesses = []
     for n in range(1, n_max + 1):
-        for w in _perms(n):
+        for w in words(n):
             ai = admissible_inversion_count(w)
             for x in range(1, n + 1):
                 w2 = actions.mfs_single(w, x)
@@ -208,7 +206,7 @@ def _check_lemma_2_1(n_max: int):
 def _check_lemma_2_2(n_max: int):
     witnesses = []
     for n in range(1, n_max + 1):
-        for w in _perms(n):
+        for w in words(n):
             ai = admissible_inversion_count(w)
             inv = inv_count(w)
             if ai > inv:
@@ -221,7 +219,7 @@ def _check_lemma_2_2(n_max: int):
 def _check_prop_3_2(n_max: int):
     witnesses = []
     for n in range(1, n_max + 1):
-        for w in _perms(n):
+        for w in words(n):
             fact = rixfact.rix_factorize(w)
             if fact.word != w:
                 witnesses.append(f"n={n}: factors do not concatenate to {w}")
@@ -268,7 +266,7 @@ def _valid_factorizations(w: tuple[int, ...]):
 def _check_prop_3_4(n_max: int):
     witnesses = []
     for n in range(1, n_max + 1):
-        for w in _perms(n):
+        for w in words(n):
             valid = _valid_factorizations(w)
             fact = rixfact.rix_factorize(w)
             if len(valid) != 1 or valid[0] != (fact.alphas, fact.beta):
@@ -286,11 +284,11 @@ def _check_prop_3_5(n_max: int):
         total = 0
         r0_counts: dict[int, int] = {}
         e_counts: dict[int, int] = {}
-        for w in _perms(n):
+        for w in words(n):
             total += 1
             image = bijections.phi(w)
             images.add(image)
-            if des(w) != sum(1 for i, v in enumerate(image, 1) if v > i):
+            if des(w) != exc_count(image):
                 witnesses.append(f"n={n}: des/exc mismatch on {w}")
             if rixfact.rixed_points(w) != fix_set(image):
                 witnesses.append(f"n={n}: RIX/FIX mismatch on {w}")
@@ -307,7 +305,7 @@ def _check_prop_3_5(n_max: int):
                 ):
                     witnesses.append(f"n={n}: phi({w}) not in E family")
             if is_derangement(w) and cda_count(w) == 0:
-                k = sum(1 for i, v in enumerate(w, 1) if v > i)
+                k = exc_count(w)
                 e_counts[k] = e_counts.get(k, 0) + 1
             if witnesses:
                 return witnesses, []
@@ -322,9 +320,9 @@ def _check_f_bijection(n_max: int):
         d_tilde_counts: dict[int, int] = {}
         e_counts: dict[int, int] = {}
         f_images = set()
-        for w in _perms(n):
+        for w in words(n):
             if is_derangement(w) and cda_count(w) == 0:
-                k = sum(1 for i, v in enumerate(w, 1) if v > i)
+                k = exc_count(w)
                 e_counts[k] = e_counts.get(k, 0) + 1
             in_r0 = dd_count(w) == 1 and rixfact.rix(w) == 0
             in_d_tilde = n >= 2 and dd_count(w) == 0 and w[-2] < w[-1]
@@ -363,7 +361,7 @@ def _check_f_bijection(n_max: int):
 def _check_lemma_4_1(n_max: int):
     witnesses = []
     for n in range(1, n_max + 1):
-        for w in _perms(n):
+        for w in words(n):
             fact = rixfact.rix_factorize(w)
             ref_lyc = bijections.lyc(w)
             for x in range(1, n + 1):
@@ -391,7 +389,7 @@ def _check_lemma_4_2(n_max: int):
         r0_ai: dict[int, MPoly] = {}
         d_tilde_ai: dict[int, MPoly] = {}
         d_tilde_inv: dict[int, MPoly] = {}
-        for w in _perms(n):
+        for w in words(n):
             if rixfact.rix(w) == 0:
                 ai = admissible_inversion_count(w)
                 k = des(w)
@@ -614,7 +612,7 @@ def _check_remark_1_8(n_max: int):
     witnesses = []
     for n in range(1, n_max + 1):
         by_des: dict[frozenset, tuple[dict, dict]] = {}
-        for w in _perms(n):
+        for w in words(n):
             s = des_set(w)
             invs, imajs = by_des.setdefault(s, ({}, {}))
             i1 = inv_count(w)
@@ -633,7 +631,7 @@ def _check_remark_3_7(n_max: int):
     """Negative control: (FIX, maj) and (RIX, aid) must differ on S_3."""
     dist_fix: dict[tuple, int] = {}
     dist_rix: dict[tuple, int] = {}
-    for w in _perms(3):
+    for w in words(3):
         k1 = (fix_set(w), maj(w))
         dist_fix[k1] = dist_fix.get(k1, 0) + 1
         aid = admissible_inversion_count(w) + des(w)

@@ -22,20 +22,9 @@ from .errors import (
     NotInDomain,
 )
 from .mpoly import GammaExpansion
-from .perm import format_word, parse_permutation, statistics
+from .perm import MAX_N, format_word, parse_permutation, statistics
 
-HARD_CAP = 12
 DEFAULT_MAX_N = 9
-
-
-def _default_max_n() -> int:
-    raw = os.environ.get("EULERIAN_GAMMA_MAX_N")
-    if raw is None:
-        return DEFAULT_MAX_N
-    try:
-        return min(int(raw), HARD_CAP)
-    except ValueError:
-        return DEFAULT_MAX_N
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-n",
         type=int,
         default=None,
-        help=f"enumeration ceiling (1..{HARD_CAP}, default {DEFAULT_MAX_N} "
+        help=f"enumeration ceiling (1..{MAX_N}, default {DEFAULT_MAX_N} "
         "or EULERIAN_GAMMA_MAX_N)",
     )
     common.add_argument(
@@ -115,8 +104,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_max_n(args: argparse.Namespace) -> int:
-    max_n = args.max_n if args.max_n is not None else _default_max_n()
-    if not 1 <= max_n <= HARD_CAP:
+    """--max-n, else EULERIAN_GAMMA_MAX_N, else DEFAULT_MAX_N.  A value
+    outside 1..MAX_N is a usage error: one stderr line, exit 2."""
+    if args.max_n is not None:
+        source, raw = "--max-n", str(args.max_n)
+    else:
+        source, raw = "EULERIAN_GAMMA_MAX_N", os.environ.get("EULERIAN_GAMMA_MAX_N")
+        if raw is None:
+            return DEFAULT_MAX_N
+    try:
+        max_n = int(raw)
+    except ValueError:
+        max_n = 0  # not an integer: reported like an out-of-range value
+    if not 1 <= max_n <= MAX_N:
+        print(f"error: {source} must be an integer in 1..{MAX_N}, got {raw!r}",
+              file=sys.stderr)
         raise SystemExit(2)
     return max_n
 

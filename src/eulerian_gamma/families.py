@@ -2,17 +2,18 @@
 
 Everything here is a direct sum over permutations; the structured or
 extracted routes live in checks.py so the two sides stay independent.
-Accumulation goes through plain dicts keyed by exponent 6-tuples
-(t, r, q, p, y, b) for speed, then wraps into MPoly.
+Each family is a filter on S_n plus a key: the key maps a word to its
+exponent 6-tuple (t, r, q, p, y, b), and _tally counts the keys in plain
+dicts for speed before wrapping into MPoly.  Keys call the perm kernels by
+name at call time, so rebinding a kernel reaches every family.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from . import rixfact
-from .errors import BudgetExceeded, MismatchAgainstDirect
+from .errors import MismatchAgainstDirect
 from .mpoly import GammaExpansion, MPoly, gamma_extract
 from .perm import (
     admissible_inversion_count,
@@ -20,176 +21,130 @@ from .perm import (
     cyc_count,
     dd_count,
     des,
+    exc_count,
+    fix_set,
     inv_count,
+    is_alternating,
+    is_derangement,
+    maj,
+    words,
 )
 
-ENUM_CEILING = 12
+
+def _tally(n: int, key, keep=None) -> dict:
+    """{key(w): count} over the words w of S_n that pass keep."""
+    acc: dict = {}
+    for w in words(n):
+        if keep is None or keep(w):
+            k = key(w)
+            acc[k] = acc.get(k, 0) + 1
+    return acc
 
 
-def _perms(n: int):
-    if n > ENUM_CEILING:
-        raise BudgetExceeded(f"n={n} exceeds enumeration ceiling {ENUM_CEILING}")
-    return itertools.permutations(range(1, n + 1))
+def _table(n: int, key, keep=None) -> dict[int, MPoly]:
+    """k -> polynomial, for a key that returns (k, exponent 6-tuple)."""
+    table: dict[int, dict[tuple, int]] = {}
+    for (k, e), count in _tally(n, key, keep).items():
+        table.setdefault(k, {})[e] = count
+    return {k: MPoly(terms) for k, terms in table.items()}
+
+
+def _exc_fix_maj_key(w) -> tuple:
+    """(exc, fix, maj - exc) in one pass: the hot key at n = 9-10."""
+    exc = fix = m = 0
+    last = len(w) - 1
+    for i, v in enumerate(w):
+        if v > i + 1:
+            exc += 1
+        elif v == i + 1:
+            fix += 1
+        if i < last and v > w[i + 1]:
+            m += i + 1
+    return (exc, fix, m - exc, 0, 0, 0)
 
 
 @lru_cache(maxsize=None)
 def basic_eulerian(n: int) -> MPoly:
     """A_n(t, r, q) = sum over S_n of t^exc r^fix q^(maj - exc)."""
-    acc: dict[tuple, int] = {}
-    for w in _perms(n):
-        exc = fix = m = 0
-        for i in range(n):
-            v = w[i]
-            if v > i + 1:
-                exc += 1
-            elif v == i + 1:
-                fix += 1
-            if i < n - 1 and v > w[i + 1]:
-                m += i + 1
-        key = (exc, fix, m - exc, 0, 0, 0)
-        acc[key] = acc.get(key, 0) + 1
-    return MPoly.from_counts(acc)
+    return MPoly(_tally(n, _exc_fix_maj_key))
 
 
 @lru_cache(maxsize=None)
 def basic_eulerian_desrix(n: int) -> MPoly:
     """The same polynomial via the triple (des, rix, ai)."""
-    acc: dict[tuple, int] = {}
-    for w in _perms(n):
-        key = (des(w), rixfact.rix(w), admissible_inversion_count(w), 0, 0, 0)
-        acc[key] = acc.get(key, 0) + 1
-    return MPoly.from_counts(acc)
+    return MPoly(_tally(n, lambda w: (
+        des(w), rixfact.rix(w), admissible_inversion_count(w), 0, 0, 0)))
 
 
 @lru_cache(maxsize=None)
 def dd_free_inv_table(n: int) -> dict[int, MPoly]:
     """k -> sum of q^inv over permutations with dd = 0 and des = k."""
-    table: dict[int, dict[tuple, int]] = {}
-    for w in _perms(n):
-        if dd_count(w) != 0:
-            continue
-        k = des(w)
-        key = (0, 0, inv_count(w), 0, 0, 0)
-        bucket = table.setdefault(k, {})
-        bucket[key] = bucket.get(key, 0) + 1
-    return {k: MPoly.from_counts(v) for k, v in table.items()}
+    return _table(
+        n, lambda w: (des(w), (0, 0, inv_count(w), 0, 0, 0)),
+        keep=lambda w: dd_count(w) == 0,
+    )
 
 
 @lru_cache(maxsize=None)
 def dd_free_ascent_inv_table(n: int) -> dict[int, MPoly]:
     """k -> sum of q^inv over dd-free permutations with a final ascent,
     indexed by des + 1 (the derangement-side gamma index)."""
-    table: dict[int, dict[tuple, int]] = {}
-    for w in _perms(n):
-        if dd_count(w) != 0:
-            continue
-        if n < 2 or w[-2] > w[-1]:
-            continue
-        k = des(w) + 1
-        key = (0, 0, inv_count(w), 0, 0, 0)
-        bucket = table.setdefault(k, {})
-        bucket[key] = bucket.get(key, 0) + 1
-    return {k: MPoly.from_counts(v) for k, v in table.items()}
+    return _table(
+        n, lambda w: (des(w) + 1, (0, 0, inv_count(w), 0, 0, 0)),
+        keep=lambda w: len(w) >= 2 and w[-2] < w[-1] and dd_count(w) == 0,
+    )
 
 
 @lru_cache(maxsize=None)
 def cda_free_derangement_cyc_table(n: int) -> dict[int, MPoly]:
     """k -> sum of b^cyc over derangements with cda = 0 and exc = k."""
-    table: dict[int, dict[tuple, int]] = {}
-    for w in _perms(n):
-        if any(v == i for i, v in enumerate(w, start=1)):
-            continue
-        if cda_count(w) != 0:
-            continue
-        k = sum(1 for i, v in enumerate(w, start=1) if v > i)
-        key = (0, 0, 0, 0, 0, cyc_count(w))
-        bucket = table.setdefault(k, {})
-        bucket[key] = bucket.get(key, 0) + 1
-    return {k: MPoly.from_counts(v) for k, v in table.items()}
+    return _table(
+        n, lambda w: (exc_count(w), (0, 0, 0, 0, 0, cyc_count(w))),
+        keep=lambda w: is_derangement(w) and cda_count(w) == 0,
+    )
+
+
+@lru_cache(maxsize=None)
+def _exc_fix_cyc_poly(n: int) -> MPoly:
+    """Sum over S_n of t^exc r^fix b^cyc."""
+    return MPoly(_tally(n, lambda w: (
+        exc_count(w), len(fix_set(w)), 0, 0, 0, cyc_count(w))))
 
 
 @lru_cache(maxsize=None)
 def derangement_cyc_poly(n: int) -> MPoly:
     """Sum over derangements of b^cyc t^exc."""
-    acc: dict[tuple, int] = {}
-    for w in _perms(n):
-        if any(v == i for i, v in enumerate(w, start=1)):
-            continue
-        exc = sum(1 for i, v in enumerate(w, start=1) if v > i)
-        key = (exc, 0, 0, 0, 0, cyc_count(w))
-        acc[key] = acc.get(key, 0) + 1
-    return MPoly.from_counts(acc)
+    return _exc_fix_cyc_poly(n).coeff_in("r", 0)
+
+
+def _exc_maj_des_key(w) -> tuple:
+    exc = exc_count(w)
+    return (exc, 0, maj(w) - exc, des(w), 0, 0)
 
 
 @lru_cache(maxsize=None)
 def derangement_exc_des_maj_poly(n: int) -> MPoly:
     """Sum over derangements of t^exc p^des q^(maj - exc)."""
-    acc: dict[tuple, int] = {}
-    for w in _perms(n):
-        if any(v == i for i, v in enumerate(w, start=1)):
-            continue
-        exc = m = nd = 0
-        for i in range(n):
-            v = w[i]
-            if v > i + 1:
-                exc += 1
-            if i < n - 1 and v > w[i + 1]:
-                m += i + 1
-                nd += 1
-        key = (exc, 0, m - exc, nd, 0, 0)
-        acc[key] = acc.get(key, 0) + 1
-    return MPoly.from_counts(acc)
+    return MPoly(_tally(n, _exc_maj_des_key, keep=is_derangement))
 
 
 @lru_cache(maxsize=None)
 def fixed_count_exc_maj_poly(n: int, j: int) -> MPoly:
     """Sum over permutations with exactly j fixed points of t^exc q^(maj-exc)."""
-    acc: dict[tuple, int] = {}
-    for w in _perms(n):
-        exc = fix = m = 0
-        for i in range(n):
-            v = w[i]
-            if v > i + 1:
-                exc += 1
-            elif v == i + 1:
-                fix += 1
-            if i < n - 1 and v > w[i + 1]:
-                m += i + 1
-        if fix != j:
-            continue
-        key = (exc, 0, m - exc, 0, 0, 0)
-        acc[key] = acc.get(key, 0) + 1
-    return MPoly.from_counts(acc)
+    return basic_eulerian(n).coeff_in("r", j)
 
 
 @lru_cache(maxsize=None)
 def fixed_count_cyc_exc_poly(n: int, j: int) -> MPoly:
     """Sum over permutations with exactly j fixed points of b^cyc t^exc."""
-    acc: dict[tuple, int] = {}
-    for w in _perms(n):
-        fix = sum(1 for i, v in enumerate(w, start=1) if v == i)
-        if fix != j:
-            continue
-        exc = sum(1 for i, v in enumerate(w, start=1) if v > i)
-        key = (exc, 0, 0, 0, 0, cyc_count(w))
-        acc[key] = acc.get(key, 0) + 1
-    return MPoly.from_counts(acc)
+    return _exc_fix_cyc_poly(n).coeff_in("r", j)
 
 
 @lru_cache(maxsize=None)
 def alternating_inv_poly(n: int) -> MPoly:
     """Sum of q^inv over alternating permutations of [n]."""
-    acc: dict[tuple, int] = {}
-    for w in _perms(n):
-        ok = True
-        for i in range(n - 1):
-            if (i % 2 == 0) != (w[i] < w[i + 1]):
-                ok = False
-                break
-        if ok:
-            key = (0, 0, inv_count(w), 0, 0, 0)
-            acc[key] = acc.get(key, 0) + 1
-    return MPoly.from_counts(acc)
+    return MPoly(_tally(
+        n, lambda w: (0, 0, inv_count(w), 0, 0, 0), keep=is_alternating))
 
 
 # --- Gamma aggregates -----------------------------------------------------

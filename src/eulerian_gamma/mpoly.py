@@ -55,11 +55,6 @@ class MPoly:
             e[_VAR_INDEX[name]] = k
         return MPoly({tuple(e): coeff}) if coeff else MPoly()
 
-    @staticmethod
-    def from_counts(counts: Mapping[ExpT, int]) -> "MPoly":
-        """Wrap an exponent->coefficient accumulator without copying zeros."""
-        return MPoly(counts)
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "MPoly | int") -> "MPoly":
@@ -173,31 +168,12 @@ class MPoly:
         return f"MPoly({self.to_text()})"
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            factors = [
-                v if k == 1 else f"{v}^{k}"
-                for v, k in zip(VARS, e)
-                if k != 0
-            ]
-            if not factors:
-                body = str(abs(c))
-            else:
-                mono = "*".join(factors)
-                body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        """Render as e.g. "2*q + 3*q^2"."""
+        return _render(self, "*", " ")
 
     def to_text_compact(self) -> str:
         """Render without spaces or '*', e.g. "2q+3q^2+2q^3+q^4"."""
-        if not self.terms:
-            return "0"
-        return _group_body(self)
+        return _render(self, "", "")
 
     def to_text_grouped(self, var: str = "t") -> str:
         """Render grouped by powers of var, e.g. "1 + (3+2q)t + t^2"."""
@@ -210,27 +186,31 @@ class MPoly:
                 continue
             head = var if k == 1 else f"{var}^{k}"
             if k == 0:
-                parts.append(_group_body(coeff))
+                parts.append(coeff.to_text_compact())
             elif coeff == MPoly.const(1):
                 parts.append(head)
             else:
-                parts.append(f"({_group_body(coeff)}){head}")
+                parts.append(f"({coeff.to_text_compact()}){head}")
         return " + ".join(parts)
 
 
-def _group_body(p: MPoly) -> str:
+def _render(p: MPoly, times: str, space: str) -> str:
+    """Terms in graded-lex order; times joins factors and coefficients,
+    space surrounds the signs between terms."""
+    if not p.terms:
+        return "0"
     out = []
     for e, c in p.sorted_terms():
         factors = [v if k == 1 else f"{v}^{k}" for v, k in zip(VARS, e) if k != 0]
         if not factors:
             body = str(abs(c))
         else:
-            mono = "".join(factors)
-            body = mono if abs(c) == 1 else f"{abs(c)}{mono}"
+            mono = times.join(factors)
+            body = mono if abs(c) == 1 else f"{abs(c)}{times}{mono}"
         if not out:
             out.append(body if c > 0 else f"-{body}")
         else:
-            out.append(f"+{body}" if c > 0 else f"-{body}")
+            out.append(f"{space}{'+' if c > 0 else '-'}{space}{body}")
     return "".join(out)
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, NotABijection
 
-DEFAULT_MAX_N = 12
+MAX_N = 12  # enumeration ceiling of words() and of the CLI's --max-n
 
 WordT = tuple[int, ...]
 
@@ -140,40 +140,38 @@ def cda_count(w: Sequence[int]) -> int:
     return sum(1 for i in range(1, len(w) + 1) if inv[i - 1] < i < w[i - 1])
 
 
+def _framed(w: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """(left, letter, right) for each letter of w, with the boundary
+    convention sigma_0 = sigma_{n+1} = +infinity (n + 1 stands in)."""
+    inf = len(w) + 1
+    p = (inf, *w, inf)
+    return zip(p, p[1:], p[2:])
+
+
 def shape_counts(w: Sequence[int]) -> tuple[int, int, int, int]:
     """(dd, da, peak, valley) under the +infinity boundary convention."""
-    n = len(w)
-    if n == 0:
-        return (0, 0, 0, 0)
-    inf = n + 1
-    dd = da = peak = valley = 0
-    for i in range(n):
-        left = w[i - 1] if i > 0 else inf
-        right = w[i + 1] if i < n - 1 else inf
-        v = w[i]
+    dd = da = peak = 0
+    for left, v, right in _framed(w):
         if left > v > right:
             dd += 1
         elif left < v < right:
             da += 1
         elif left < v > right:
             peak += 1
-        else:
-            valley += 1
-    return dd, da, peak, valley
+    return dd, da, peak, len(w) - dd - da - peak
 
 
 def dd_count(w: Sequence[int]) -> int:
-    n = len(w)
-    if n == 0:
-        return 0
-    inf = n + 1
     count = 0
-    for i in range(n):
-        left = w[i - 1] if i > 0 else inf
-        right = w[i + 1] if i < n - 1 else inf
-        if left > w[i] > right:
+    for left, v, right in _framed(w):
+        if left > v > right:
             count += 1
     return count
+
+
+def dd_letters(w: Sequence[int]) -> list[int]:
+    """The double-descent letters of w, left to right."""
+    return [v for left, v, right in _framed(w) if left > v > right]
 
 
 def admissible_inversion_count(w: Sequence[int]) -> int:
@@ -345,21 +343,19 @@ def classify(p: Permutation | Sequence[int]) -> Membership:
 
 # --- enumeration ----------------------------------------------------------
 
-def words(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[WordT]:
+def words(n: int) -> Iterator[WordT]:
     """All words of S_n in lexicographic order, as raw tuples."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > max_n:
-        raise BudgetExceeded(f"n={n} exceeds enumeration ceiling {max_n}")
+    if n > MAX_N:
+        raise BudgetExceeded(f"n={n} exceeds enumeration ceiling {MAX_N}")
     return itertools.permutations(range(1, n + 1))
 
 
 def enumerate_perms(
-    n: int,
-    pred: Callable[[Permutation], bool] | None = None,
-    max_n: int = DEFAULT_MAX_N,
+    n: int, pred: Callable[[Permutation], bool] | None = None
 ) -> Iterator[Permutation]:
-    for w in words(n, max_n=max_n):
+    for w in words(n):
         p = Permutation(w)
         if pred is None or pred(p):
             yield p

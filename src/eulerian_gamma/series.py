@@ -77,7 +77,3 @@ def q_exp_series(scale: MPoly | int, order: int) -> TruncatedSeries:
     for _ in range(order):
         slots.append(slots[-1] * scale_p)
     return TruncatedSeries(tuple(slots))
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b

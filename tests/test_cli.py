@@ -101,12 +101,25 @@ def test_gamma_bad_family_exits_2(capsys):
 def test_gamma_over_ceiling_exits_2(capsys):
     code, _, err = run_cli(capsys, "gamma", "basic", "13")
     assert code == 2
+    assert err == "n must be in 1..9\n"
+    for value in ("0", "13"):
+        code, _, err = run_cli(capsys, "gamma", "basic", "4", "--max-n", value)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "--max-n" in err and "1..12" in err
 
 
 def test_env_var_cap(capsys, monkeypatch):
-    monkeypatch.setenv("EULERIAN_GAMMA_MAX_N", "99")
-    code, _, _ = run_cli(capsys, "gamma", "basic", "13")
-    assert code == 2  # capped at 12 regardless of env value
+    for value in ("99", "0", "abc"):
+        monkeypatch.setenv("EULERIAN_GAMMA_MAX_N", value)
+        code, _, err = run_cli(capsys, "gamma", "basic", "4")
+        assert code == 2  # never clamped or ignored
+        assert err.count("\n") == 1
+        assert "EULERIAN_GAMMA_MAX_N" in err and "1..12" in err
+    monkeypatch.setenv("EULERIAN_GAMMA_MAX_N", "3")
+    code, _, err = run_cli(capsys, "gamma", "basic", "4")
+    assert code == 2
+    assert err == "n must be in 1..3\n"
 
 
 def test_verify_pass(capsys):

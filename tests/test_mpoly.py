@@ -15,7 +15,7 @@ from eulerian_gamma.mpoly import (
     q_binomial,
     q_factorial,
 )
-from eulerian_gamma.series import from_slots, q_exp_series, series_mul
+from eulerian_gamma.series import from_slots, q_exp_series
 
 
 t = MPoly.var("t")
@@ -126,7 +126,7 @@ def test_q_exp_series_slots():
 def test_series_product_picks_up_q_binomials():
     """Slot 2 of e(z;q)^2 stores sum_i [2 i]_q = 1 + (1+q) + 1 = 3 + q."""
     e = q_exp_series(1, 4)
-    prod = series_mul(e, e)
+    prod = e * e
     assert prod[0] == ONE
     assert prod[1] == 2
     assert prod[2] == 3 + q
@@ -150,7 +150,7 @@ def test_series_addition_and_truncation():
 def test_series_exp_functional_equation():
     """e(z;q) * e(tz;q) slotwise equals the series with slot n equal to
     sum_i [n i]_q t^(n-i)."""
-    prod = series_mul(q_exp_series(t, 5), q_exp_series(1, 5))
+    prod = q_exp_series(t, 5) * q_exp_series(1, 5)
     for n in range(6):
         acc = MPoly.zero()
         for i in range(n + 1):
