@@ -1,23 +1,29 @@
 """Mechanical verification of every identity in scope.
 
-Every check computes both sides independently (exhaustive enumeration on
-one side, structured formula / gamma extraction on the other) and compares
-exact polynomials.  A check returns a VerificationReport; witnesses hold
-counterexample descriptions and are empty exactly when the check passed.
+Every statement the paper verifies holds "for every n", so a check is
+data: a `Check` holds a per-size claim, an exhaustive ceiling and static
+notes.  `claim(n)` computes both sides at size n independently (exhaustive
+enumeration on one side, structured formula / gamma extraction on the
+other), compares exact polynomials and yields one witness string per
+counterexample it finds.
 
-Each check has its own exhaustive ceiling (the size up to which the
-statement is verified); the requested max_n is clamped to it.
+`run_check` alone owns the loop over n = 1..min(max_n, ceiling), the
+timing, the witness cap (after `WITNESS_CAP` witnesses the check stops
+with one "stopped at" line) and containment: an exception raised by a
+claim becomes the witness "n=<n>: <type>: <message>" and the run goes on
+with the next n.  A report's witnesses are empty exactly when the check
+passed.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from math import comb
 
 from . import actions, bijections, families, rixfact
-from .errors import MismatchAgainstDirect, NotExpandable
 from .mpoly import MPoly, ONE, gamma_extract, one_plus_t_power, q_binomial
 from .perm import (
     admissible_inversion_count,
@@ -35,6 +41,11 @@ from .perm import (
     words,
 )
 from .series import TruncatedSeries, from_slots
+
+WITNESS_CAP = 10
+# thm-1.4's orbit-representative part is exhaustive only up to here:
+# it takes 0.35 s at n = 7 and would take about 25 s at n = 9.
+ORBIT_REP_MAX_N = 8
 
 
 @dataclass(frozen=True)
@@ -57,6 +68,19 @@ class VerificationReport:
         }
 
 
+@dataclass(frozen=True)
+class Check:
+    """A statement claimed at every size n = 1..ceiling.
+
+    claim(n) yields one witness string per counterexample at size n; it
+    looks its kernels up at call time, so rebinding them reaches it.
+    """
+
+    ceiling: int
+    claim: Callable[[int], Iterable[str]]
+    notes: tuple[str, ...] = ()
+
+
 def _t_power_sum(table: dict[int, MPoly], center: int) -> MPoly:
     """sum_k table[k] * t^k * (1+t)^(center - 2k)."""
     t = MPoly.var("t")
@@ -66,178 +90,122 @@ def _t_power_sum(table: dict[int, MPoly], center: int) -> MPoly:
     return acc
 
 
-# --- individual checks ----------------------------------------------------
-# Each returns (witnesses, notes) for sizes 1..n_max.
+# --- claims at size n -------------------------------------------------------
+# The gamma_* / cyc_gamma / sw3_gamma families raise MismatchAgainstDirect
+# or NotExpandable themselves; run_check turns that into a witness.
 
-def _check_thm_1_1(n_max: int):
+def _thm_1_1(n: int):
     """Classical gamma expansion of A_n(t,1,1) with |D_{n,k}| coefficients."""
-    witnesses = []
-    for n in range(1, n_max + 1):
-        lhs = families.basic_eulerian(n).substitute("r", 1).substitute("q", 1)
-        counts = {
-            k: poly.substitute("q", 1)
-            for k, poly in families.dd_free_inv_table(n).items()
-        }
-        rhs = _t_power_sum(counts, n - 1)
-        if lhs != rhs:
-            witnesses.append(f"n={n}: A_n(t,1,1) != classical expansion")
-        gammas = families.gamma_basic(n).at_q_one()
-        for k, poly in counts.items():
-            size = poly.substitute("q", 1)
-            if MPoly.const(gammas[k]) != size:
-                witnesses.append(f"n={n}, k={k}: gamma(1) != |D_nk|")
-    return witnesses, []
+    lhs = families.basic_eulerian(n).substitute("r", 1).substitute("q", 1)
+    counts = {
+        k: poly.substitute("q", 1)
+        for k, poly in families.dd_free_inv_table(n).items()
+    }
+    if lhs != _t_power_sum(counts, n - 1):
+        yield f"n={n}: A_n(t,1,1) != classical expansion"
+    gammas = families.gamma_basic(n).at_q_one()
+    for k, size in counts.items():
+        if MPoly.const(gammas[k]) != size:
+            yield f"n={n}, k={k}: gamma(1) != |D_nk|"
 
 
-def _check_thm_1_4(n_max: int):
-    """q^inv over D_{n,k} vs extraction of A_n(t,1,q); plus the unique
-    dd-free representative of every MFS orbit."""
-    witnesses = []
-    for n in range(1, n_max + 1):
-        try:
-            families.gamma_basic(n)
-        except (MismatchAgainstDirect, NotExpandable) as exc:
-            witnesses.append(f"n={n}: {exc}")
-    for n in range(1, min(n_max, 8) + 1):
-        for w in words(n):
-            rep = actions.canonical_rep(w, "mfs")
-            if dd_count(rep) != 0:
-                witnesses.append(f"n={n}: rep of {w} has a double descent")
-                break
-            if dd_count(w) == 0 and rep != w:
-                witnesses.append(f"n={n}: dd-free {w} is not its own rep")
-                break
-            for x in range(1, n + 1):
-                if actions.canonical_rep(actions.mfs_single(w, x), "mfs") != rep:
-                    witnesses.append(f"n={n}: rep not constant on orbit of {w}")
-                    break
-            else:
-                continue
-            break
-    return witnesses, []
+def _thm_1_2(n: int):
+    families.cyc_gamma(n)
+    return ()
 
 
-def _check_thm_1_5(n_max: int):
-    witnesses = []
-    for n in range(1, n_max + 1):
-        try:
-            exp = families.gamma_derangement(n)
-        except (MismatchAgainstDirect, NotExpandable) as exc:
-            witnesses.append(f"n={n}: {exc}")
-            continue
-        if not exp.gammas[0].is_zero():
-            witnesses.append(f"n={n}: gamma~_0 != 0")
-    return witnesses, []
-
-
-def _check_thm_1_2(n_max: int):
-    witnesses = []
-    for n in range(1, n_max + 1):
-        try:
-            families.cyc_gamma(n)
-        except (MismatchAgainstDirect, NotExpandable) as exc:
-            witnesses.append(f"n={n}: {exc}")
-    return witnesses, []
-
-
-def foata_han_check(n: int) -> list[str]:
-    """All Foata-Han statements at size n (t = -1 specializations)."""
-    witnesses = []
+def _thm_1_3(n: int):
+    """Foata-Han t = -1 specializations, and the set equalities behind them."""
     a1 = families.basic_eulerian(n).substitute("r", 1).substitute("t", -1)
     a0 = families.basic_eulerian(n).substitute("r", 0).substitute("t", -1)
-    alt = families.alternating_inv_poly(n)
+    alternating_sum = families.alternating_inv_poly(n)
     if n % 2 == 0:
         m = n // 2
         if not a1.is_zero():
-            witnesses.append(f"n={n}: A_n(-1,1,q) != 0")
-        if a0 != alt * ((-1) ** m):
-            witnesses.append(f"n={n}: A_n(-1,0,q) != (-1)^{m} * alternating sum")
+            yield f"n={n}: A_n(-1,1,q) != 0"
+        if a0 != alternating_sum * ((-1) ** m):
+            yield f"n={n}: A_n(-1,0,q) != (-1)^{m} * alternating sum"
     else:
         m = (n - 1) // 2
         if n >= 2 and not a0.is_zero():
-            witnesses.append(f"n={n}: A_n(-1,0,q) != 0")
-        if a1 != alt * ((-1) ** m):
-            witnesses.append(f"n={n}: A_n(-1,1,q) != (-1)^{m} * alternating sum")
-    return witnesses
+            yield f"n={n}: A_n(-1,0,q) != 0"
+        if a1 != alternating_sum * ((-1) ** m):
+            yield f"n={n}: A_n(-1,1,q) != (-1)^{m} * alternating sum"
+    for w in words(n):
+        alt = is_alternating(w)
+        if n % 2 == 1:
+            member = dd_count(w) == 0 and des(w) == (n - 1) // 2
+        else:
+            member = dd_count(w) == 0 and w[-2] < w[-1] and des(w) == n // 2 - 1
+        if alt != member:
+            yield f"n={n}: {w}: alternating={alt} family={member}"
 
 
-def _check_thm_1_3(n_max: int):
-    witnesses = []
-    for n in range(1, n_max + 1):
-        witnesses.extend(foata_han_check(n))
-    # set equalities behind the t = -1 reduction
-    for n in range(1, min(n_max, 8) + 1):
-        for w in words(n):
-            alt = is_alternating(w)
-            if n % 2 == 1:
-                member = dd_count(w) == 0 and des(w) == (n - 1) // 2
-            else:
-                member = (
-                    dd_count(w) == 0
-                    and w[-2] < w[-1]
-                    and des(w) == n // 2 - 1
-                )
-            if alt != member:
-                witnesses.append(f"n={n}: {w}: alternating={alt} family={member}")
-    return witnesses, []
+def _thm_1_4(n: int):
+    """q^inv over D_{n,k} vs extraction of A_n(t,1,q); plus the unique
+    dd-free representative of every MFS orbit."""
+    families.gamma_basic(n)
+    if n > ORBIT_REP_MAX_N:
+        return
+    for w in words(n):
+        rep = actions.canonical_rep(w, "mfs")
+        if dd_count(rep) != 0:
+            yield f"n={n}: rep of {w} has a double descent"
+        if dd_count(w) == 0 and rep != w:
+            yield f"n={n}: dd-free {w} is not its own rep"
+        if any(
+            actions.canonical_rep(actions.mfs_single(w, x), "mfs") != rep
+            for x in range(1, n + 1)
+        ):
+            yield f"n={n}: rep not constant on orbit of {w}"
 
 
-def _check_lemma_1_7(n_max: int):
-    witnesses = []
-    for n in range(1, n_max + 1):
-        if families.basic_eulerian(n) != families.basic_eulerian_desrix(n):
-            witnesses.append(f"n={n}: (exc,fix,maj-exc) != (des,rix,ai) polynomial")
-    return witnesses, []
+def _thm_1_5(n: int):
+    if not families.gamma_derangement(n).gammas[0].is_zero():
+        yield f"n={n}: gamma~_0 != 0"
 
 
-def _check_lemma_2_1(n_max: int):
-    witnesses = []
-    for n in range(1, n_max + 1):
-        for w in words(n):
-            ai = admissible_inversion_count(w)
-            for x in range(1, n + 1):
-                w2 = actions.mfs_single(w, x)
-                if w2 != w and admissible_inversion_count(w2) != ai:
-                    witnesses.append(f"n={n}: ai changed by hop of {x} on {w}")
-                    return witnesses, []
-    return witnesses, []
+def _lemma_1_7(n: int):
+    if families.basic_eulerian(n) != families.basic_eulerian_desrix(n):
+        yield f"n={n}: (exc,fix,maj-exc) != (des,rix,ai) polynomial"
 
 
-def _check_lemma_2_2(n_max: int):
-    witnesses = []
-    for n in range(1, n_max + 1):
-        for w in words(n):
-            ai = admissible_inversion_count(w)
-            inv = inv_count(w)
-            if ai > inv:
-                witnesses.append(f"n={n}: ai > inv on {w}")
-            if dd_count(w) == 0 and ai != inv:
-                witnesses.append(f"n={n}: dd-free {w} has ai != inv")
-    return witnesses, []
+def _lemma_2_1(n: int):
+    for w in words(n):
+        ai = admissible_inversion_count(w)
+        for x in range(1, n + 1):
+            w2 = actions.mfs_single(w, x)
+            if w2 != w and admissible_inversion_count(w2) != ai:
+                yield f"n={n}: ai changed by hop of {x} on {w}"
 
 
-def _check_prop_3_2(n_max: int):
-    witnesses = []
-    for n in range(1, n_max + 1):
-        for w in words(n):
-            fact = rixfact.rix_factorize(w)
-            if fact.word != w:
-                witnesses.append(f"n={n}: factors do not concatenate to {w}")
-            r = rixfact.rix(w)
-            if r != len(fact.rix_set):
-                witnesses.append(f"n={n}: rix != |RIX| on {w}")
-            f_hook = fact.beta_kind == rixfact.F_HOOK and len(fact.beta) >= 2
-            if (r == 0) != f_hook:
-                witnesses.append(f"n={n}: rix=0 iff F-hook fails on {w}")
-            chain = [a[-1] for a in fact.alphas] + [fact.beta1]
-            if any(chain[i] <= chain[i + 1] for i in range(len(chain) - 1)):
-                witnesses.append(f"n={n}: chain condition fails on {w}")
-            for a in fact.alphas:
-                if len(a) < 2 or a[-1] != max(a):
-                    witnesses.append(f"n={n}: alpha {a} is not an L-hook>=2")
-            if witnesses:
-                return witnesses, []
-    return witnesses, []
+def _lemma_2_2(n: int):
+    for w in words(n):
+        ai = admissible_inversion_count(w)
+        inv = inv_count(w)
+        if ai > inv:
+            yield f"n={n}: ai > inv on {w}"
+        if dd_count(w) == 0 and ai != inv:
+            yield f"n={n}: dd-free {w} has ai != inv"
+
+
+def _prop_3_2(n: int):
+    for w in words(n):
+        fact = rixfact.rix_factorize(w)
+        if fact.word != w:
+            yield f"n={n}: factors do not concatenate to {w}"
+        r = rixfact.rix(w)
+        if r != len(fact.rix_set):
+            yield f"n={n}: rix != |RIX| on {w}"
+        f_hook = fact.beta_kind == rixfact.F_HOOK and len(fact.beta) >= 2
+        if (r == 0) != f_hook:
+            yield f"n={n}: rix=0 iff F-hook fails on {w}"
+        chain = [a[-1] for a in fact.alphas] + [fact.beta1]
+        if any(chain[i] <= chain[i + 1] for i in range(len(chain) - 1)):
+            yield f"n={n}: chain condition fails on {w}"
+        for a in fact.alphas:
+            if len(a) < 2 or a[-1] != max(a):
+                yield f"n={n}: alpha {a} is not an L-hook>=2"
 
 
 def _valid_factorizations(w: tuple[int, ...]):
@@ -263,383 +231,288 @@ def _valid_factorizations(w: tuple[int, ...]):
     return valid
 
 
-def _check_prop_3_4(n_max: int):
-    witnesses = []
-    for n in range(1, n_max + 1):
-        for w in words(n):
-            valid = _valid_factorizations(w)
-            fact = rixfact.rix_factorize(w)
-            if len(valid) != 1 or valid[0] != (fact.alphas, fact.beta):
-                witnesses.append(
-                    f"n={n}: {w}: {len(valid)} valid factorizations"
-                )
-                return witnesses, []
-    return witnesses, []
+def _prop_3_4(n: int):
+    for w in words(n):
+        valid = _valid_factorizations(w)
+        fact = rixfact.rix_factorize(w)
+        if len(valid) != 1 or valid[0] != (fact.alphas, fact.beta):
+            yield f"n={n}: {w}: {len(valid)} valid factorizations"
 
 
-def _check_prop_3_5(n_max: int):
-    witnesses = []
-    for n in range(1, n_max + 1):
-        images = set()
-        total = 0
-        r0_counts: dict[int, int] = {}
-        e_counts: dict[int, int] = {}
-        for w in words(n):
-            total += 1
-            image = bijections.phi(w)
-            images.add(image)
-            if des(w) != exc_count(image):
-                witnesses.append(f"n={n}: des/exc mismatch on {w}")
-            if rixfact.rixed_points(w) != fix_set(image):
-                witnesses.append(f"n={n}: RIX/FIX mismatch on {w}")
-            if bijections.phi_inv(image) != w:
-                witnesses.append(f"n={n}: phi_inv(phi({w})) != {w}")
-            if bijections.phi(bijections.phi_inv(w)) != w:
-                witnesses.append(f"n={n}: phi(phi_inv({w})) != {w}")
-            if dd_count(w) == 1 and rixfact.rix(w) == 0:
-                k = des(w)
-                r0_counts[k] = r0_counts.get(k, 0) + 1
-                if not (
-                    is_derangement(image)
-                    and cda_count(image) == 0
-                ):
-                    witnesses.append(f"n={n}: phi({w}) not in E family")
-            if is_derangement(w) and cda_count(w) == 0:
-                k = exc_count(w)
-                e_counts[k] = e_counts.get(k, 0) + 1
-            if witnesses:
-                return witnesses, []
-        if len(images) != total or r0_counts != e_counts:
-            witnesses.append(f"n={n}: |R0_nk| != |E_nk| ({r0_counts} vs {e_counts})")
-    return witnesses, []
+def _prop_3_5(n: int):
+    images = set()
+    total = 0
+    r0_counts: dict[int, int] = {}
+    e_counts: dict[int, int] = {}
+    for w in words(n):
+        total += 1
+        image = bijections.phi(w)
+        images.add(image)
+        if des(w) != exc_count(image):
+            yield f"n={n}: des/exc mismatch on {w}"
+        if rixfact.rixed_points(w) != fix_set(image):
+            yield f"n={n}: RIX/FIX mismatch on {w}"
+        if bijections.phi_inv(image) != w:
+            yield f"n={n}: phi_inv(phi({w})) != {w}"
+        if bijections.phi(bijections.phi_inv(w)) != w:
+            yield f"n={n}: phi(phi_inv({w})) != {w}"
+        if dd_count(w) == 1 and rixfact.rix(w) == 0:
+            k = des(w)
+            r0_counts[k] = r0_counts.get(k, 0) + 1
+            if not (is_derangement(image) and cda_count(image) == 0):
+                yield f"n={n}: phi({w}) not in E family"
+        if is_derangement(w) and cda_count(w) == 0:
+            k = exc_count(w)
+            e_counts[k] = e_counts.get(k, 0) + 1
+    if len(images) != total or r0_counts != e_counts:
+        yield f"n={n}: |R0_nk| != |E_nk| ({r0_counts} vs {e_counts})"
 
 
-def _check_f_bijection(n_max: int):
-    witnesses = []
-    for n in range(1, n_max + 1):
-        d_tilde_counts: dict[int, int] = {}
-        e_counts: dict[int, int] = {}
-        f_images = set()
-        for w in words(n):
-            if is_derangement(w) and cda_count(w) == 0:
-                k = exc_count(w)
-                e_counts[k] = e_counts.get(k, 0) + 1
-            in_r0 = dd_count(w) == 1 and rixfact.rix(w) == 0
-            in_d_tilde = n >= 2 and dd_count(w) == 0 and w[-2] < w[-1]
-            if in_d_tilde:
-                k = des(w) + 1
-                d_tilde_counts[k] = d_tilde_counts.get(k, 0) + 1
-                back = bijections.f_inv(w)
-                if not (dd_count(back) == 1 and rixfact.rix(back) == 0):
-                    witnesses.append(f"n={n}: f_inv({w}) not in R0")
-                elif des(back) != k:
-                    witnesses.append(f"n={n}: f_inv({w}) changes k")
-                elif bijections.f_map(back) != w:
-                    witnesses.append(f"n={n}: f(f_inv({w})) != {w}")
-            if in_r0:
-                k = des(w)
-                img = bijections.f_map(w)
-                f_images.add(img)
-                beta1 = rixfact.rix_factorize(w).beta1
-                if img[-1] != beta1:
-                    witnesses.append(f"n={n}: f({w}) does not end with beta1")
-                elif not (dd_count(img) == 0 and img[-2] < img[-1]):
-                    witnesses.append(f"n={n}: f({w}) not in D~ family")
-                elif des(img) + 1 != k:
-                    witnesses.append(f"n={n}: f({w}) changes k")
-                elif bijections.f_inv(img) != w:
-                    witnesses.append(f"n={n}: f_inv(f({w})) != {w}")
-            if witnesses:
-                return witnesses, []
-        if d_tilde_counts != e_counts:
-            witnesses.append(
-                f"n={n}: |D~_nk| != |E_nk| ({d_tilde_counts} vs {e_counts})"
+def _f_bijection(n: int):
+    d_tilde_counts: dict[int, int] = {}
+    e_counts: dict[int, int] = {}
+    for w in words(n):
+        if is_derangement(w) and cda_count(w) == 0:
+            k = exc_count(w)
+            e_counts[k] = e_counts.get(k, 0) + 1
+        if n >= 2 and dd_count(w) == 0 and w[-2] < w[-1]:
+            k = des(w) + 1
+            d_tilde_counts[k] = d_tilde_counts.get(k, 0) + 1
+            back = bijections.f_inv(w)
+            if not (dd_count(back) == 1 and rixfact.rix(back) == 0):
+                yield f"n={n}: f_inv({w}) not in R0"
+            elif des(back) != k:
+                yield f"n={n}: f_inv({w}) changes k"
+            elif bijections.f_map(back) != w:
+                yield f"n={n}: f(f_inv({w})) != {w}"
+        if dd_count(w) == 1 and rixfact.rix(w) == 0:
+            k = des(w)
+            img = bijections.f_map(w)
+            beta1 = rixfact.rix_factorize(w).beta1
+            if img[-1] != beta1:
+                yield f"n={n}: f({w}) does not end with beta1"
+            elif not (dd_count(img) == 0 and img[-2] < img[-1]):
+                yield f"n={n}: f({w}) not in D~ family"
+            elif des(img) + 1 != k:
+                yield f"n={n}: f({w}) changes k"
+            elif bijections.f_inv(img) != w:
+                yield f"n={n}: f_inv(f({w})) != {w}"
+    if d_tilde_counts != e_counts:
+        yield f"n={n}: |D~_nk| != |E_nk| ({d_tilde_counts} vs {e_counts})"
+
+
+def _lemma_4_1(n: int):
+    for w in words(n):
+        fact = rixfact.rix_factorize(w)
+        ref_lyc = bijections.lyc(w)
+        for x in range(1, n + 1):
+            w2 = actions.restricted_mfs_single(w, x)
+            if w2 == w:
+                continue
+            fact2 = rixfact.rix_factorize(w2)
+            if fact2.beta1 != fact.beta1 or fact2.rix_set != fact.rix_set:
+                yield f"n={n}: beta1/RIX changed by {x} on {w}"
+            factors = list(fact.alphas) + [fact.beta]
+            factors2 = list(fact2.alphas) + [fact2.beta]
+            if [sorted(f) for f in factors] != [sorted(f) for f in factors2]:
+                yield f"n={n}: factor type changed by {x} on {w}"
+            if bijections.lyc(w2) != ref_lyc:
+                yield f"n={n}: lyc changed by {x} on {w}"
+
+
+def _lemma_4_2(n: int):
+    lhs = MPoly.zero()
+    r0_ai: dict[int, MPoly] = {}
+    d_tilde_ai: dict[int, MPoly] = {}
+    d_tilde_inv: dict[int, MPoly] = {}
+    for w in words(n):
+        if rixfact.rix(w) == 0:
+            ai = admissible_inversion_count(w)
+            k = des(w)
+            lhs = lhs + MPoly.monomial(1, q=ai, t=k)
+            if dd_count(w) == 1:
+                r0_ai[k] = r0_ai.get(k, MPoly.zero()) + MPoly.var("q", ai)
+            rep = actions.canonical_rep(w, "restricted")
+            if dd_count(rep) != 1:
+                yield f"n={n}: restricted rep of {w} has dd != 1"
+            if dd_count(w) == 1 and rep != w:
+                yield f"n={n}: dd=1 elem {w} is not its own rep"
+        if n >= 2 and dd_count(w) == 0 and w[-2] < w[-1]:
+            k = des(w) + 1
+            ai = admissible_inversion_count(w)
+            d_tilde_ai[k] = d_tilde_ai.get(k, MPoly.zero()) + MPoly.var("q", ai)
+            d_tilde_inv[k] = d_tilde_inv.get(k, MPoly.zero()) + MPoly.var(
+                "q", inv_count(w)
             )
-    return witnesses, []
+    if lhs != _t_power_sum(r0_ai, n):
+        yield f"n={n}: restricted orbit expansion fails"
+    # proof chain: f keeps ai and sends des = k to des = k - 1, and the
+    # D~ index is des + 1, so both tables are keyed by the same k
+    if r0_ai != d_tilde_ai or d_tilde_ai != d_tilde_inv:
+        yield f"n={n}: ai/inv proof-chain equality fails"
 
 
-def _check_lemma_4_1(n_max: int):
-    witnesses = []
-    for n in range(1, n_max + 1):
-        for w in words(n):
-            fact = rixfact.rix_factorize(w)
-            ref_lyc = bijections.lyc(w)
-            for x in range(1, n + 1):
-                w2 = actions.restricted_mfs_single(w, x)
-                if w2 == w:
-                    continue
-                fact2 = rixfact.rix_factorize(w2)
-                if fact2.beta1 != fact.beta1 or fact2.rix_set != fact.rix_set:
-                    witnesses.append(f"n={n}: beta1/RIX changed by {x} on {w}")
-                factors = list(fact.alphas) + [fact.beta]
-                factors2 = list(fact2.alphas) + [fact2.beta]
-                if [sorted(f) for f in factors] != [sorted(f) for f in factors2]:
-                    witnesses.append(f"n={n}: factor type changed by {x} on {w}")
-                if bijections.lyc(w2) != ref_lyc:
-                    witnesses.append(f"n={n}: lyc changed by {x} on {w}")
-                if witnesses:
-                    return witnesses, []
-    return witnesses, []
-
-
-def _check_lemma_4_2(n_max: int):
-    witnesses = []
-    for n in range(1, n_max + 1):
-        lhs = MPoly.zero()
-        r0_ai: dict[int, MPoly] = {}
-        d_tilde_ai: dict[int, MPoly] = {}
-        d_tilde_inv: dict[int, MPoly] = {}
-        for w in words(n):
-            if rixfact.rix(w) == 0:
-                ai = admissible_inversion_count(w)
-                k = des(w)
-                lhs = lhs + MPoly.monomial(1, q=ai, t=k)
-                if dd_count(w) == 1:
-                    r0_ai[k] = r0_ai.get(k, MPoly.zero()) + MPoly.var("q", ai)
-                rep = actions.canonical_rep(w, "restricted")
-                if dd_count(rep) != 1:
-                    witnesses.append(f"n={n}: restricted rep of {w} has dd != 1")
-                    return witnesses, []
-                if dd_count(w) == 1 and rep != w:
-                    witnesses.append(f"n={n}: dd=1 elem {w} is not its own rep")
-                    return witnesses, []
-            if n >= 2 and dd_count(w) == 0 and w[-2] < w[-1]:
-                k = des(w) + 1
-                ai = admissible_inversion_count(w)
-                d_tilde_ai[k] = d_tilde_ai.get(k, MPoly.zero()) + MPoly.var("q", ai)
-                d_tilde_inv[k] = d_tilde_inv.get(k, MPoly.zero()) + MPoly.var(
-                    "q", inv_count(w)
-                )
-        if lhs != _t_power_sum(r0_ai, n):
-            witnesses.append(f"n={n}: restricted orbit expansion fails")
-        # proof chain: f keeps ai and sends des = k to des = k - 1, and the
-        # D~ index is des + 1, so both tables are keyed by the same k
-        if r0_ai != d_tilde_ai or d_tilde_ai != d_tilde_inv:
-            witnesses.append(f"n={n}: ai/inv proof-chain equality fails")
-    return witnesses, []
-
-
-def _gamma_slots(n_max: int) -> list[MPoly]:
-    """Slot n holds sum_k gamma_{n,k}(q) t^k (1+t)^(n-2k); slot 0 = 1."""
-    slots = [ONE]
-    for n in range(1, n_max + 1):
-        slots.append(_t_power_sum(families.dd_free_inv_table(n), n))
-    return slots
-
-
-def _gamma_tilde_slots(n_max: int) -> list[MPoly]:
-    slots = [ONE]
-    for n in range(1, n_max + 1):
-        slots.append(_t_power_sum(families.dd_free_ascent_inv_table(n), n))
-    return slots
-
-
-def _check_prop_5_1(n_max: int):
-    """The three cleared-denominator generating function identities."""
-    witnesses = []
-    order = n_max
+def _prop_5_1(n: int):
+    """The three cleared-denominator generating function identities, at
+    slot n of each product truncated at order n."""
     t = MPoly.var("t")
     r = MPoly.var("r")
-    # D = e(tz;q) - t e(z;q): slot n = t^n - t
-    d_series = from_slots([t**n - t if n else ONE - t for n in range(order + 1)])
-    a_series = from_slots(
-        [families.basic_eulerian(n) for n in range(order + 1)]
-    )
-    rhs = from_slots([(ONE - t) * r**n for n in range(order + 1)])
-    if d_series * a_series != rhs:
-        witnesses.append("fixversion identity fails")
+
+    def series(slot) -> TruncatedSeries:
+        return from_slots([slot(m) for m in range(n + 1)])
+
+    def gamma_series(table) -> TruncatedSeries:
+        """Slot m holds sum_k table(m)[k] t^k (1+t)^(m-2k); slot 0 = 1."""
+        return series(lambda m: _t_power_sum(table(m), m) if m else ONE)
+
+    # D = e(tz;q) - t e(z;q): slot m = t^m - t
+    d_series = series(lambda m: t**m - t)
+    if (d_series * series(families.basic_eulerian))[n] != (ONE - t) * r**n:
+        yield "fixversion identity fails"
     # gf1 after z -> (1+t) z: G * D == e(z;q) - t e(tz;q)
-    g_series = from_slots(_gamma_slots(order))
-    e1 = from_slots([ONE - t ** (n + 1) for n in range(order + 1)])
-    if g_series * d_series != e1:
-        witnesses.append("gf1 identity fails")
+    g_series = gamma_series(families.dd_free_inv_table)
+    if (g_series * d_series)[n] != ONE - t ** (n + 1):
+        yield "gf1 identity fails"
     # gf2 after z -> (1+t) z: H * D == (1 - t, 0, 0, ...)
-    h_series = from_slots(_gamma_tilde_slots(order))
-    const = from_slots([ONE - t] + [MPoly.zero()] * order)
-    if h_series * d_series != const:
-        witnesses.append("gf2 identity fails")
-    return witnesses, []
+    h_series = gamma_series(families.dd_free_ascent_inv_table)
+    if not (h_series * d_series)[n].is_zero():
+        yield "gf2 identity fails"
 
 
-def _check_prop_5_2(n_max: int):
-    """Recurrences for Gamma and (corrected) GammaTilde."""
-    witnesses = []
+def _prop_5_2(n: int):
+    """Size n checks the Gamma and (corrected) GammaTilde recurrences that
+    produce Gamma(n) and GammaTilde(n) from the sizes below."""
+    if n < 2:
+        return
+    m = n - 1
     y = MPoly.var("y")
     q = MPoly.var("q")
-    gam = [families.gamma_poly(n) for n in range(n_max + 1)]
-    gamt = [families.gamma_tilde_poly(n) for n in range(n_max + 1)]
-    for n in range(1, n_max):
-        rhs = gam[n]
-        for i in range(1, n):
-            rhs = rhs + y * q**i * q_binomial(n, i) * gam[i] * gam[n - i]
-        if gam[n + 1] != rhs:
-            witnesses.append(f"Gamma recurrence fails at n={n}")
-        rhs2 = y * gam[n]
-        for i in range(2, n):
-            rhs2 = rhs2 + y * q**i * q_binomial(n, i) * gamt[i] * gam[n - i]
-        if gamt[n + 1] != rhs2:
-            witnesses.append(f"GammaTilde recurrence fails at n={n}")
-    notes = [
-        "GammaTilde recurrence verified in the corrected form "
-        "GT(n+1) = y*G(n) + y*sum_{i=2}^{n-1} q^i [n i]_q GT(i) G(n-i); "
-        "the printed form (leading term G(n) without y) contradicts the "
-        "tabulated values."
-    ]
-    return witnesses, notes
+    gam = families.gamma_poly
+    rhs = gam(m)
+    for i in range(1, m):
+        rhs = rhs + y * q**i * q_binomial(m, i) * gam(i) * gam(m - i)
+    if gam(n) != rhs:
+        yield f"Gamma recurrence fails at n={m}"
+    rhs2 = y * gam(m)
+    for i in range(2, m):
+        rhs2 = rhs2 + y * q**i * q_binomial(m, i) * families.gamma_tilde_poly(i) * gam(m - i)
+    if families.gamma_tilde_poly(n) != rhs2:
+        yield f"GammaTilde recurrence fails at n={m}"
 
 
-def _check_recurrence2(n_max: int):
-    witnesses = []
+def _recurrence2(n: int):
+    """Size n checks the recurrence that produces A_n; size 1 checks the
+    initial values A_0 = 1 and A_1 = r."""
     r = MPoly.var("r")
     t = MPoly.var("t")
     q = MPoly.var("q")
-    a = [families.basic_eulerian(n) for n in range(n_max + 1)]
-    if a[0] != ONE:
-        witnesses.append("A_0 != 1")
-    if n_max >= 1 and a[1] != r:
-        witnesses.append("A_1 != r")
-    for n in range(1, n_max):
-        rhs = r * a[n]
-        for j in range(n):
-            rhs = rhs + t * q_binomial(n, j) * q**j * a[j] * a[n - j].substitute(
-                "r", 1
-            )
-        if a[n + 1] != rhs:
-            witnesses.append(f"A recurrence fails at n={n}")
-    return witnesses, []
+    a = families.basic_eulerian
+    if n == 1:
+        if a(0) != ONE:
+            yield "A_0 != 1"
+        if a(1) != r:
+            yield "A_1 != r"
+        return
+    m = n - 1
+    rhs = r * a(m)
+    for j in range(m):
+        rhs = rhs + t * q_binomial(m, j) * q**j * a(j) * a(m - j).substitute("r", 1)
+    if a(n) != rhs:
+        yield f"A recurrence fails at n={m}"
 
 
-def _check_eq_qmul(n_max: int):
-    witnesses = []
-    for n in range(0, n_max + 1):
-        universe = list(range(1, n + 1))
-        for k in range(n + 1):
-            acc: dict[int, int] = {}
-            for subset in itertools.combinations(universe, k):
-                rest = [v for v in universe if v not in subset]
-                invs = sum(1 for a in subset for b in rest if a > b)
-                acc[invs] = acc.get(invs, 0) + 1
-            brute = MPoly(
-                {(0, 0, e, 0, 0, 0): c for e, c in acc.items()}
-            )
-            if q_binomial(n, k) != brute:
-                witnesses.append(f"[{n} {k}]_q != subset sum")
-    return witnesses, []
+def _eq_qmul(n: int):
+    universe = list(range(1, n + 1))
+    for k in range(n + 1):
+        acc: dict[int, int] = {}
+        for subset in itertools.combinations(universe, k):
+            rest = [v for v in universe if v not in subset]
+            invs = sum(1 for a in subset for b in rest if a > b)
+            acc[invs] = acc.get(invs, 0) + 1
+        brute = MPoly({(0, 0, e, 0, 0, 0): c for e, c in acc.items()})
+        if q_binomial(n, k) != brute:
+            yield f"[{n} {k}]_q != subset sum"
 
 
-def _check_fix_maj(n_max: int):
-    witnesses = []
-    for n in range(1, n_max + 1):
-        for j in range(n + 1):
-            lhs = families.fixed_count_exc_maj_poly(n, j)
-            rhs = q_binomial(n, j) * families.basic_eulerian(n - j).substitute(
-                "r", 0
-            )
-            if lhs != rhs:
-                witnesses.append(f"n={n}, j={j}: fix-maj identity fails")
-    return witnesses, []
+def _fix_maj(n: int):
+    for j in range(n + 1):
+        lhs = families.fixed_count_exc_maj_poly(n, j)
+        rhs = q_binomial(n, j) * families.basic_eulerian(n - j).substitute("r", 0)
+        if lhs != rhs:
+            yield f"n={n}, j={j}: fix-maj identity fails"
 
 
-def _check_cycle_bis(n_max: int):
-    witnesses = []
+def _cycle_bis(n: int):
     b = MPoly.var("b")
-    for n in range(1, n_max + 1):
-        for j in range(1, n + 1):
-            lhs = families.fixed_count_cyc_exc_poly(n, j)
-            if n == j:
-                rhs = comb(n, j) * b**j
+    for j in range(1, n + 1):
+        lhs = families.fixed_count_cyc_exc_poly(n, j)
+        if n == j:
+            rhs = comb(n, j) * b**j
+        else:
+            table = {
+                k: comb(n, j) * poly * b**j
+                for k, poly in families.cda_free_derangement_cyc_table(n - j).items()
+            }
+            rhs = _t_power_sum(table, n - j)
+        if lhs != rhs:
+            yield f"n={n}, j={j}: cycle-bis identity fails"
+
+
+def _exp_fixed(n: int):
+    for j in range(1, n + 1):
+        lhs = families.fixed_count_exc_maj_poly(n, j)
+        expansion = gamma_extract(lhs, center=n - j)
+        qbin = q_binomial(n, j)
+        direct = families.dd_free_ascent_inv_table(n - j) if n > j else {}
+        for k, g in enumerate(expansion.gammas):
+            if k == 0:
+                expected = qbin if n == j else MPoly.zero()
             else:
-                table = {
-                    k: comb(n, j) * poly * b**j
-                    for k, poly in families.cda_free_derangement_cyc_table(
-                        n - j
-                    ).items()
-                }
-                rhs = _t_power_sum(table, n - j)
-            if lhs != rhs:
-                witnesses.append(f"n={n}, j={j}: cycle-bis identity fails")
-    return witnesses, []
+                expected = qbin * direct.get(k, MPoly.zero())
+            if g != expected:
+                yield f"n={n}, j={j}, k={k}: exp-fixed mismatch"
 
 
-def _check_exp_fixed(n_max: int):
-    witnesses = []
-    for n in range(1, n_max + 1):
-        for j in range(1, n + 1):
-            lhs = families.fixed_count_exc_maj_poly(n, j)
-            try:
-                expansion = gamma_extract(lhs, center=n - j)
-            except NotExpandable as exc:
-                witnesses.append(f"n={n}, j={j}: {exc}")
-                continue
-            qbin = q_binomial(n, j)
-            direct = families.dd_free_ascent_inv_table(n - j) if n > j else {}
-            for k, g in enumerate(expansion.gammas):
-                if k == 0:
-                    expected = qbin if n == j else MPoly.zero()
-                else:
-                    expected = qbin * direct.get(k, MPoly.zero())
-                if g != expected:
-                    witnesses.append(f"n={n}, j={j}, k={k}: exp-fixed mismatch")
-    return witnesses, []
+def _sw3(n: int):
+    expansion = families.sw3_gamma(n)
+    for k, g in enumerate(expansion.gammas):
+        if not g.coefficients_nonnegative():
+            yield f"n={n}, k={k}: negative coefficient"
+    if n >= 2 and not expansion.gammas[0].is_zero():
+        yield f"n={n}: gamma~_0(p,q) != 0"
+    direct = families.dd_free_ascent_inv_table(n)
+    for k, g in enumerate(expansion.gammas):
+        if g.substitute("p", 1) != direct.get(k, MPoly.zero()):
+            yield f"n={n}, k={k}: p=1 specialization mismatch"
 
 
-def _check_sw3(n_max: int):
-    witnesses = []
-    for n in range(1, n_max + 1):
-        try:
-            expansion = families.sw3_gamma(n)
-        except NotExpandable as exc:
-            witnesses.append(f"n={n}: {exc}")
-            continue
-        for k, g in enumerate(expansion.gammas):
-            if not g.coefficients_nonnegative():
-                witnesses.append(f"n={n}, k={k}: negative coefficient")
-        if n >= 2 and not expansion.gammas[0].is_zero():
-            witnesses.append(f"n={n}: gamma~_0(p,q) != 0")
-        direct = families.dd_free_ascent_inv_table(n)
-        for k, g in enumerate(expansion.gammas):
-            if g.substitute("p", 1) != direct.get(k, MPoly.zero()):
-                witnesses.append(f"n={n}, k={k}: p=1 specialization mismatch")
-    notes = [
-        "center n used for the p-refined derangement polynomial; the "
-        "printed center n-1 is not expandable (already fails at n=2); "
-        "gamma~_{n,0}(p,q) = 0 for all checked n >= 2"
-    ]
-    return witnesses, notes
+def _remark_1_8(n: int):
+    by_des: dict[frozenset, tuple[dict, dict]] = {}
+    for w in words(n):
+        invs, imajs = by_des.setdefault(des_set(w), ({}, {}))
+        i1 = inv_count(w)
+        i2 = imaj(w)
+        invs[i1] = invs.get(i1, 0) + 1
+        imajs[i2] = imajs.get(i2, 0) + 1
+    for s, (invs, imajs) in by_des.items():
+        if invs != imajs:
+            yield f"n={n}, DES={sorted(s)}: inv and imaj distributions differ"
 
 
-def _check_remark_1_8(n_max: int):
-    witnesses = []
-    for n in range(1, n_max + 1):
-        by_des: dict[frozenset, tuple[dict, dict]] = {}
-        for w in words(n):
-            s = des_set(w)
-            invs, imajs = by_des.setdefault(s, ({}, {}))
-            i1 = inv_count(w)
-            i2 = imaj(w)
-            invs[i1] = invs.get(i1, 0) + 1
-            imajs[i2] = imajs.get(i2, 0) + 1
-        for s, (invs, imajs) in by_des.items():
-            if invs != imajs:
-                witnesses.append(
-                    f"n={n}, DES={sorted(s)}: inv and imaj distributions differ"
-                )
-    return witnesses, []
-
-
-def _check_remark_3_7(n_max: int):
+def _remark_3_7(n: int):
     """Negative control: (FIX, maj) and (RIX, aid) must differ on S_3."""
+    if n != 3:
+        return
     dist_fix: dict[tuple, int] = {}
     dist_rix: dict[tuple, int] = {}
-    for w in words(3):
+    for w in words(n):
         k1 = (fix_set(w), maj(w))
         dist_fix[k1] = dist_fix.get(k1, 0) + 1
         aid = admissible_inversion_count(w) + des(w)
         k2 = (rixfact.rixed_points(w), aid)
         dist_rix[k2] = dist_rix.get(k2, 0) + 1
     if dist_fix == dist_rix:
-        return ["(FIX,maj) and (RIX,aid) coincide on S_3"], []
-    return [], []
+        yield "(FIX,maj) and (RIX,aid) coincide on S_3"
 
 
 # Column 3 of the printed table reads 4213 / 2413; both are digit
@@ -654,64 +527,85 @@ TABLE_1 = {
 }
 
 
-def _check_table_1(n_max: int):
-    witnesses = []
+def _table_1(n: int):
+    """The five S_4 columns of Table 1."""
+    if n != 4:
+        return
     for col in range(5):
         d_word = tuple(int(c) for c in TABLE_1["d_tilde"][col])
         r_word = tuple(int(c) for c in TABLE_1["r0"][col])
         e_word = tuple(int(c) for c in TABLE_1["e"][col])
         if bijections.f_inv(d_word) != r_word:
-            witnesses.append(f"column {col + 1}: f_inv mismatch")
+            yield f"column {col + 1}: f_inv mismatch"
         if bijections.f_map(r_word) != d_word:
-            witnesses.append(f"column {col + 1}: f mismatch")
+            yield f"column {col + 1}: f mismatch"
         if bijections.phi(r_word) != e_word:
-            witnesses.append(f"column {col + 1}: phi mismatch")
-    notes = [
-        "column 3 corrected to 4231 / 3421; the printed 4213 and 2413 are "
-        "digit transpositions outside their families"
-    ]
-    return witnesses, notes
+            yield f"column {col + 1}: phi mismatch"
 
 
 # --- registry -------------------------------------------------------------
 
-CHECKS: dict[str, tuple] = {
-    # id -> (function, exhaustive ceiling)
-    "thm-1.1": (_check_thm_1_1, 9),
-    "thm-1.2": (_check_thm_1_2, 9),
-    "thm-1.3": (_check_thm_1_3, 9),
-    "thm-1.4": (_check_thm_1_4, 9),
-    "thm-1.5": (_check_thm_1_5, 9),
-    "lemma-1.7": (_check_lemma_1_7, 9),
-    "lemma-2.1": (_check_lemma_2_1, 8),
-    "lemma-2.2": (_check_lemma_2_2, 8),
-    "prop-3.2": (_check_prop_3_2, 8),
-    "prop-3.4": (_check_prop_3_4, 7),
-    "prop-3.5": (_check_prop_3_5, 8),
-    "f-bijection": (_check_f_bijection, 8),
-    "lemma-4.1": (_check_lemma_4_1, 8),
-    "lemma-4.2": (_check_lemma_4_2, 8),
-    "prop-5.1": (_check_prop_5_1, 6),
-    "prop-5.2": (_check_prop_5_2, 9),
-    "eq-recurrence2": (_check_recurrence2, 8),
-    "eq-qmul": (_check_eq_qmul, 8),
-    "eq-fix-maj": (_check_fix_maj, 8),
-    "eq-cycle-bis": (_check_cycle_bis, 8),
-    "eq-exp-fixed": (_check_exp_fixed, 8),
-    "eq-sw3": (_check_sw3, 8),
-    "remark-1.8": (_check_remark_1_8, 8),
-    "remark-3.7-negative": (_check_remark_3_7, 3),
-    "table-1": (_check_table_1, 4),
+CHECKS: dict[str, Check] = {
+    "thm-1.1": Check(9, _thm_1_1),
+    "thm-1.2": Check(9, _thm_1_2),
+    "thm-1.3": Check(9, _thm_1_3),
+    "thm-1.4": Check(9, _thm_1_4, (
+        f"orbit-representative part checked for n <= {ORBIT_REP_MAX_N}",
+    )),
+    "thm-1.5": Check(9, _thm_1_5),
+    "lemma-1.7": Check(9, _lemma_1_7),
+    "lemma-2.1": Check(8, _lemma_2_1),
+    "lemma-2.2": Check(8, _lemma_2_2),
+    "prop-3.2": Check(8, _prop_3_2),
+    "prop-3.4": Check(7, _prop_3_4),
+    "prop-3.5": Check(8, _prop_3_5),
+    "f-bijection": Check(8, _f_bijection),
+    "lemma-4.1": Check(8, _lemma_4_1),
+    "lemma-4.2": Check(8, _lemma_4_2),
+    "prop-5.1": Check(6, _prop_5_1),
+    "prop-5.2": Check(9, _prop_5_2, (
+        "GammaTilde recurrence verified in the corrected form "
+        "GT(n+1) = y*G(n) + y*sum_{i=2}^{n-1} q^i [n i]_q GT(i) G(n-i); "
+        "the printed form (leading term G(n) without y) contradicts the "
+        "tabulated values.",
+    )),
+    "eq-recurrence2": Check(8, _recurrence2),
+    "eq-qmul": Check(8, _eq_qmul),
+    "eq-fix-maj": Check(8, _fix_maj),
+    "eq-cycle-bis": Check(8, _cycle_bis),
+    "eq-exp-fixed": Check(8, _exp_fixed),
+    "eq-sw3": Check(8, _sw3, (
+        "center n used for the p-refined derangement polynomial; the "
+        "printed center n-1 is not expandable (already fails at n=2); "
+        "gamma~_{n,0}(p,q) = 0 for all checked n >= 2",
+    )),
+    "remark-1.8": Check(8, _remark_1_8),
+    "remark-3.7-negative": Check(3, _remark_3_7),
+    "table-1": Check(4, _table_1, (
+        "column 3 corrected to 4231 / 3421; the printed 4213 and 2413 are "
+        "digit transpositions outside their families",
+    )),
 }
 
 
 def run_check(check_id: str, max_n: int = 9) -> VerificationReport:
     if check_id not in CHECKS:
         raise KeyError(f"unknown check id {check_id!r}")
-    func, ceiling = CHECKS[check_id]
-    n_max = min(max_n, ceiling)
+    check = CHECKS[check_id]
+    n_max = min(max_n, check.ceiling)
+    witnesses: list[str] = []
     start = time.perf_counter()
-    witnesses, notes = func(n_max)
+    for n in range(1, n_max + 1):
+        try:
+            for witness in check.claim(n):
+                witnesses.append(witness)
+                if len(witnesses) == WITNESS_CAP:
+                    break
+        except Exception as exc:  # one failing claim must not lose the run
+            witnesses.append(f"n={n}: {type(exc).__name__}: {exc}")
+        if len(witnesses) >= WITNESS_CAP:
+            witnesses.append(f"stopped at n={n} after {WITNESS_CAP} witnesses")
+            break
     elapsed = time.perf_counter() - start
     return VerificationReport(
         check_id=check_id,
@@ -719,7 +613,7 @@ def run_check(check_id: str, max_n: int = 9) -> VerificationReport:
         passed=not witnesses,
         witnesses=tuple(witnesses),
         elapsed=elapsed,
-        notes=tuple(notes),
+        notes=check.notes,
     )
 
 

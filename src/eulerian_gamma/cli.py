@@ -22,7 +22,7 @@ from .errors import (
     NotInDomain,
 )
 from .mpoly import GammaExpansion
-from .perm import MAX_N, format_word, parse_permutation, statistics
+from .perm import MAX_N, format_word, parse_permutation, shape_counts, statistics
 
 DEFAULT_MAX_N = 9
 
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="verification workers (0 = auto, default 1)",
+        help="verification workers (0 = auto, default 1; at most one per check)",
     )
     common.add_argument(
         "--group-by-t",
@@ -198,11 +198,16 @@ def cmd_verify(args: argparse.Namespace, max_n: int) -> int:
         if unknown:
             print(f"unknown check ids: {', '.join(unknown)}", file=sys.stderr)
             return 2
+    if args.threads < 0:
+        print(f"error: --threads must be 0 (auto) or positive, got {args.threads}",
+              file=sys.stderr)
+        return 2
     jobs = [(cid, max_n) for cid in ids]
-    if args.threads == 1 or len(jobs) <= 1:
+    # the pool starts every worker at once, so never more than there are jobs
+    workers = min(args.threads or os.cpu_count() or 1, len(jobs))
+    if workers <= 1:
         reports = [_run_one(job) for job in jobs]
     else:
-        workers = args.threads if args.threads > 0 else None
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_one, jobs))
     # restore the requested emission order regardless of worker count
@@ -234,8 +239,15 @@ def cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_orbit(args: argparse.Namespace) -> int:
+def cmd_orbit(args: argparse.Namespace, max_n: int) -> int:
     w = parse_permutation(args.perm).word
+    # each double descent and double ascent toggles independently, so an
+    # orbit has at most 2^(dd+da) members; 2^(max_n-1) admits all of S_max_n's
+    dd, da, _, _ = shape_counts(w)
+    if dd + da > max_n - 1:
+        print(f"error: orbit of {args.perm} may have 2^{dd + da} members; "
+              f"--max-n {max_n} allows at most 2^{max_n - 1}", file=sys.stderr)
+        return 2
     members = sorted(actions.orbit(w, args.action))
     if args.output == "json":
         print(json.dumps([format_word(m) for m in members]))
@@ -268,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "map":
             return cmd_map(args)
         if args.command == "orbit":
-            return cmd_orbit(args)
+            return cmd_orbit(args, max_n)
         if args.command == "rixfact":
             return cmd_rixfact(args)
         return 2

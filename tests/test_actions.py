@@ -16,7 +16,7 @@ from eulerian_gamma.actions import (
     x_factorization,
 )
 from eulerian_gamma.errors import LabelOutOfRange, NotInDomain
-from eulerian_gamma.perm import dd_count, des
+from eulerian_gamma.perm import dd_count, des, shape_counts
 from eulerian_gamma.rixfact import rix, rix_factorize
 
 
@@ -99,11 +99,16 @@ def test_hop_toggles_des_by_one():
 
 
 def test_orbit_sizes_are_powers_of_two():
+    """... and at most 2^(dd+da), exactly that for mfs: the bound the
+    orbit command checks before it searches."""
     for n in range(1, 7):
         for w in itertools.permutations(range(1, n + 1)):
+            dd, da, _, _ = shape_counts(w)
             for action in ("mfs", "restricted"):
                 size = len(orbit(w, action))
                 assert size & (size - 1) == 0
+                assert size <= 2 ** (dd + da)
+            assert len(orbit(w, "mfs")) == 2 ** (dd + da)
 
 
 def test_identity_orbit_is_full():

@@ -1,9 +1,11 @@
 """The verification registry: every check runs and passes at a small
-ceiling, reports serialize to the documented schema."""
+ceiling, reports serialize to the documented schema, and the runner caps
+witnesses and turns an exception in a claim into a failed report."""
 
 import pytest
 
-from eulerian_gamma.checks import CHECKS, run_check, run_checks
+from eulerian_gamma import checks, families
+from eulerian_gamma.checks import CHECKS, WITNESS_CAP, run_check, run_checks
 
 EXPECTED_IDS = {
     "thm-1.1", "thm-1.2", "thm-1.3", "thm-1.4", "thm-1.5",
@@ -54,3 +56,27 @@ def test_run_checks_preserves_order():
     ids = ["table-1", "eq-qmul"]
     reports = run_checks(ids, max_n=4)
     assert [r.check_id for r in reports] == ids
+
+
+def _raise(*args):
+    raise RuntimeError("injected")
+
+
+def test_exception_in_claim_is_a_failed_report(monkeypatch):
+    monkeypatch.setattr(families, "gamma_basic", _raise)
+    failed, passed = run_checks(["thm-1.4", "table-1"], max_n=5)
+    assert not failed.passed
+    assert failed.n_range == (1, 5)
+    assert failed.witnesses == tuple(
+        f"n={n}: RuntimeError: injected" for n in range(1, 6)
+    )
+    assert passed.check_id == "table-1" and passed.passed
+
+
+def test_witnesses_are_capped(monkeypatch):
+    monkeypatch.setattr(checks, "is_alternating", lambda w: True)
+    report = run_check("thm-1.3", max_n=8)
+    assert not report.passed
+    assert len(report.witnesses) == WITNESS_CAP + 1
+    assert report.witnesses[-1].startswith("stopped at n=")
+    assert report.witnesses[-1].endswith(f"after {WITNESS_CAP} witnesses")

@@ -168,6 +168,68 @@ def test_verify_threads_deterministic(capsys):
     assert strip(out1) == strip(out2)
 
 
+def test_verify_contains_a_failing_check(capsys, monkeypatch):
+    from eulerian_gamma import families
+
+    def boom(n):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(families, "gamma_basic", boom)
+    code, out, _ = run_cli(
+        capsys, "verify", "thm-1.4", "table-1", "--max-n", "5", "--threads", "1"
+    )
+    assert code == 1
+    first, second = (json.loads(line) for line in out.splitlines())
+    assert first["check_id"] == "thm-1.4" and not first["passed"]
+    assert "n=1: RuntimeError: injected" in first["witnesses"]
+    assert second["check_id"] == "table-1" and second["passed"]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces cli's ProcessPoolExecutor by an in-process stand-in and
+    returns the max_workers of every pool verify asked for."""
+    from eulerian_gamma import cli
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs):
+            return map(func, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    return sizes
+
+
+def test_verify_threads_bounded_by_job_count(capsys, pool_sizes, monkeypatch):
+    ids = ["table-1", "eq-qmul", "remark-3.7-negative"]
+    code, out, _ = run_cli(capsys, "verify", *ids, "--max-n", "3", "--threads", "5000")
+    assert code == 0
+    assert pool_sizes == [3]
+    assert [json.loads(line)["check_id"] for line in out.splitlines()] == ids
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    code, _, _ = run_cli(capsys, "verify", *ids, "--max-n", "3", "--threads", "0")
+    assert code == 0
+    assert pool_sizes == [3, 3]
+
+
+def test_verify_negative_threads_exits_2(capsys, pool_sizes):
+    code, out, err = run_cli(capsys, "verify", "table-1", "--threads", "-3")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "--threads" in err
+    assert pool_sizes == []
+
+
 def test_map_phi_worked_example(capsys):
     code, out, _ = run_cli(capsys, "map", "phi", "7,6,9,1,8,4,2,3,5,10")
     assert code == 0
@@ -199,6 +261,20 @@ def test_orbit(capsys):
     code, out, _ = run_cli(capsys, "orbit", "4132")
     assert code == 0
     assert out.splitlines() == ["1324", "4132"]
+
+
+def test_orbit_over_max_n_budget_exits_2(capsys):
+    identity = ",".join(str(i) for i in range(1, 17))
+    for action in ("mfs", "restricted"):
+        code, out, err = run_cli(
+            capsys, "orbit", identity, "--action", action, "--max-n", "9"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: orbit of {identity} may have 2^15 members; "
+            "--max-n 9 allows at most 2^8"
+        ]
 
 
 def test_orbit_restricted(capsys):

@@ -1,5 +1,6 @@
-"""Design guards: S_n is enumerated only through perm.words, and the
-enumeration ceiling is defined only as perm.MAX_N."""
+"""Design guards: S_n is enumerated only through perm.words, the
+enumeration ceiling is defined only as perm.MAX_N, and every check is a
+declared per-n claim whose n loop lives in checks.run_check alone."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,28 @@ def test_no_second_ceiling_constant():
                 ):
                     offenders.append(f"{name}:{node.lineno}")
     assert not offenders, f"import perm.MAX_N instead of redefining it: {offenders}"
+
+
+def test_every_check_is_declared_as_a_check():
+    from eulerian_gamma.checks import CHECKS, Check
+
+    offenders = [cid for cid, check in CHECKS.items() if not isinstance(check, Check)]
+    assert not offenders, f"declare these as Check(ceiling, claim, notes): {offenders}"
+
+
+def test_only_run_check_loops_over_n():
+    tree = ast.parse((PACKAGE / "checks.py").read_text(encoding="utf-8"))
+    runner = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "run_check"
+    )
+    inside_runner = {id(node) for node in ast.walk(runner)}
+    offenders = [
+        node.iter.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.For, ast.comprehension))
+        and isinstance(node.target, ast.Name)
+        and node.target.id == "n"
+        and id(node) not in inside_runner
+    ]
+    assert not offenders, f"a claim checks one size n; run_check loops: {offenders}"
