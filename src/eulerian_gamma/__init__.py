@@ -19,10 +19,8 @@ from .mpoly import (
     q_factorial,
 )
 from .perm import (
-    Membership,
     Permutation,
     StatisticBundle,
-    classify,
     enumerate_perms,
     parse_permutation,
     statistics,
@@ -41,7 +39,9 @@ from .actions import (
 )
 from .bijections import f_inv, f_map, lyc, phi, phi_inv, scf
 from .families import (
+    Membership,
     basic_eulerian,
+    classify,
     cyc_gamma,
     gamma_basic,
     gamma_derangement,

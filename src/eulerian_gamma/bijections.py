@@ -10,16 +10,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from . import actions, rixfact
+from . import actions, families, rixfact
 from .errors import NotInDomain
-from .perm import (
-    Permutation,
-    WordT,
-    as_word,
-    cyc_count,
-    dd_count,
-    des,
-)
+from .perm import Permutation, WordT, as_word, cyc_count
 
 CycleT = tuple[int, ...]
 
@@ -124,17 +117,17 @@ def lyc(p: Permutation | Sequence[int]) -> int:
 
 
 def f_map(p: Permutation | Sequence[int]) -> WordT:
-    """Hop beta1: bijection from {rix = 0, dd = 1, des = k} onto the
-    double-descent-free permutations ending with an ascent, des = k - 1."""
+    """Hop beta1: bijection from R0_{n,k} (rix = 0, dd = 1, des = k) onto
+    D~_{n,k} (dd = 0, a final ascent, des = k - 1)."""
     w = as_word(p)
-    if not (w and dd_count(w) == 1 and rixfact.rix(w) == 0):
+    if families.r0_index(w) is None:
         raise NotInDomain("f needs rix(sigma) = 0 and dd(sigma) = 1")
     return actions.mfs_single(w, rixfact.rix_factorize(w).beta1)
 
 
 def f_inv(p: Permutation | Sequence[int]) -> WordT:
     w = as_word(p)
-    if not (len(w) >= 2 and dd_count(w) == 0 and w[-2] < w[-1]):
+    if families.d_tilde_index(w) is None:
         raise NotInDomain(
             "f_inv needs dd(sigma) = 0 and a final ascent (n >= 2)"
         )

@@ -9,25 +9,25 @@ counterexample it finds.
 
 `run_check` alone owns the loop over n = 1..min(max_n, ceiling), the
 timing, the witness cap (after `WITNESS_CAP` witnesses the check stops
-with one "stopped at" line) and containment: an exception raised by a
-claim becomes the witness "n=<n>: <type>: <message>" and the run goes on
-with the next n.  A report's witnesses are empty exactly when the check
-passed.
+with one "stopped at" line, and its n_range ends at that n) and
+containment: an exception raised by a claim becomes the witness
+"n=<n>: <type>: <message>" and the run goes on with the next n.  A
+report's witnesses are empty exactly when the check passed.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
 
 from . import actions, bijections, families, rixfact
-from .mpoly import MPoly, ONE, gamma_extract, one_plus_t_power, q_binomial
+from .mpoly import MPoly, ONE, gamma_extract, gamma_sum, q_binomial
 from .perm import (
     admissible_inversion_count,
-    cda_count,
     dd_count,
     des,
     des_set,
@@ -36,7 +36,6 @@ from .perm import (
     imaj,
     inv_count,
     is_alternating,
-    is_derangement,
     maj,
     words,
 )
@@ -81,15 +80,6 @@ class Check:
     notes: tuple[str, ...] = ()
 
 
-def _t_power_sum(table: dict[int, MPoly], center: int) -> MPoly:
-    """sum_k table[k] * t^k * (1+t)^(center - 2k)."""
-    t = MPoly.var("t")
-    acc = MPoly.zero()
-    for k, coeff in table.items():
-        acc = acc + coeff * t**k * one_plus_t_power(center - 2 * k)
-    return acc
-
-
 # --- claims at size n -------------------------------------------------------
 # The gamma_* / cyc_gamma / sw3_gamma families raise MismatchAgainstDirect
 # or NotExpandable themselves; run_check turns that into a witness.
@@ -101,7 +91,7 @@ def _thm_1_1(n: int):
         k: poly.substitute("q", 1)
         for k, poly in families.dd_free_inv_table(n).items()
     }
-    if lhs != _t_power_sum(counts, n - 1):
+    if lhs != gamma_sum(counts, n - 1):
         yield f"n={n}: A_n(t,1,1) != classical expansion"
     gammas = families.gamma_basic(n).at_q_one()
     for k, size in counts.items():
@@ -131,12 +121,13 @@ def _thm_1_3(n: int):
             yield f"n={n}: A_n(-1,0,q) != 0"
         if a1 != alternating_sum * ((-1) ** m):
             yield f"n={n}: A_n(-1,1,q) != (-1)^{m} * alternating sum"
+    if n % 2 == 1:
+        index, k = families.d_index, (n - 1) // 2
+    else:
+        index, k = families.d_tilde_index, n // 2
     for w in words(n):
         alt = is_alternating(w)
-        if n % 2 == 1:
-            member = dd_count(w) == 0 and des(w) == (n - 1) // 2
-        else:
-            member = dd_count(w) == 0 and w[-2] < w[-1] and des(w) == n // 2 - 1
+        member = index(w) == k
         if alt != member:
             yield f"n={n}: {w}: alternating={alt} family={member}"
 
@@ -241,11 +232,8 @@ def _prop_3_4(n: int):
 
 def _prop_3_5(n: int):
     images = set()
-    total = 0
-    r0_counts: dict[int, int] = {}
-    e_counts: dict[int, int] = {}
+    r0_sizes: Counter = Counter()
     for w in words(n):
-        total += 1
         image = bijections.phi(w)
         images.add(image)
         if des(w) != exc_count(image):
@@ -256,49 +244,48 @@ def _prop_3_5(n: int):
             yield f"n={n}: phi_inv(phi({w})) != {w}"
         if bijections.phi(bijections.phi_inv(w)) != w:
             yield f"n={n}: phi(phi_inv({w})) != {w}"
-        if dd_count(w) == 1 and rixfact.rix(w) == 0:
-            k = des(w)
-            r0_counts[k] = r0_counts.get(k, 0) + 1
-            if not (is_derangement(image) and cda_count(image) == 0):
+        k = families.r0_index(w)
+        if k is not None:
+            r0_sizes[k] += 1
+            if families.e_index(image) is None:
                 yield f"n={n}: phi({w}) not in E family"
-        if is_derangement(w) and cda_count(w) == 0:
-            k = exc_count(w)
-            e_counts[k] = e_counts.get(k, 0) + 1
-    if len(images) != total or r0_counts != e_counts:
-        yield f"n={n}: |R0_nk| != |E_nk| ({r0_counts} vs {e_counts})"
+    e_sizes = families.sizes(families.cda_free_derangement_cyc_table(n))
+    if len(images) != factorial(n) or r0_sizes != e_sizes:
+        yield f"n={n}: |R0_nk| != |E_nk| ({dict(r0_sizes)} vs {e_sizes})"
 
 
 def _f_bijection(n: int):
-    d_tilde_counts: dict[int, int] = {}
-    e_counts: dict[int, int] = {}
+    d_tilde_sizes: Counter = Counter()
     for w in words(n):
-        if is_derangement(w) and cda_count(w) == 0:
-            k = exc_count(w)
-            e_counts[k] = e_counts.get(k, 0) + 1
-        if n >= 2 and dd_count(w) == 0 and w[-2] < w[-1]:
-            k = des(w) + 1
-            d_tilde_counts[k] = d_tilde_counts.get(k, 0) + 1
+        k = families.d_tilde_index(w)
+        if k is not None:
+            d_tilde_sizes[k] += 1
             back = bijections.f_inv(w)
-            if not (dd_count(back) == 1 and rixfact.rix(back) == 0):
+            j = families.r0_index(back)
+            if j is None:
                 yield f"n={n}: f_inv({w}) not in R0"
-            elif des(back) != k:
+            elif j != k:
                 yield f"n={n}: f_inv({w}) changes k"
             elif bijections.f_map(back) != w:
                 yield f"n={n}: f(f_inv({w})) != {w}"
-        if dd_count(w) == 1 and rixfact.rix(w) == 0:
-            k = des(w)
-            img = bijections.f_map(w)
-            beta1 = rixfact.rix_factorize(w).beta1
-            if img[-1] != beta1:
-                yield f"n={n}: f({w}) does not end with beta1"
-            elif not (dd_count(img) == 0 and img[-2] < img[-1]):
-                yield f"n={n}: f({w}) not in D~ family"
-            elif des(img) + 1 != k:
-                yield f"n={n}: f({w}) changes k"
-            elif bijections.f_inv(img) != w:
-                yield f"n={n}: f_inv(f({w})) != {w}"
-    if d_tilde_counts != e_counts:
-        yield f"n={n}: |D~_nk| != |E_nk| ({d_tilde_counts} vs {e_counts})"
+            continue  # dd = 0, so w is not in R0
+        k = families.r0_index(w)
+        if k is None:
+            continue
+        img = bijections.f_map(w)
+        beta1 = rixfact.rix_factorize(w).beta1
+        j = families.d_tilde_index(img)
+        if img[-1] != beta1:
+            yield f"n={n}: f({w}) does not end with beta1"
+        elif j is None:
+            yield f"n={n}: f({w}) not in D~ family"
+        elif j != k:
+            yield f"n={n}: f({w}) changes k"
+        elif bijections.f_inv(img) != w:
+            yield f"n={n}: f_inv(f({w})) != {w}"
+    e_sizes = families.sizes(families.cda_free_derangement_cyc_table(n))
+    if d_tilde_sizes != e_sizes:
+        yield f"n={n}: |D~_nk| != |E_nk| ({dict(d_tilde_sizes)} vs {e_sizes})"
 
 
 def _lemma_4_1(n: int):
@@ -320,35 +307,29 @@ def _lemma_4_1(n: int):
                 yield f"n={n}: lyc changed by {x} on {w}"
 
 
+def _ai_exponent(w) -> tuple:
+    return (0, 0, admissible_inversion_count(w), 0, 0, 0)
+
+
 def _lemma_4_2(n: int):
-    lhs = MPoly.zero()
-    r0_ai: dict[int, MPoly] = {}
-    d_tilde_ai: dict[int, MPoly] = {}
-    d_tilde_inv: dict[int, MPoly] = {}
     for w in words(n):
         if rixfact.rix(w) == 0:
-            ai = admissible_inversion_count(w)
-            k = des(w)
-            lhs = lhs + MPoly.monomial(1, q=ai, t=k)
-            if dd_count(w) == 1:
-                r0_ai[k] = r0_ai.get(k, MPoly.zero()) + MPoly.var("q", ai)
             rep = actions.canonical_rep(w, "restricted")
             if dd_count(rep) != 1:
                 yield f"n={n}: restricted rep of {w} has dd != 1"
-            if dd_count(w) == 1 and rep != w:
+            if rep != w and families.r0_index(w) is not None:
                 yield f"n={n}: dd=1 elem {w} is not its own rep"
-        if n >= 2 and dd_count(w) == 0 and w[-2] < w[-1]:
-            k = des(w) + 1
-            ai = admissible_inversion_count(w)
-            d_tilde_ai[k] = d_tilde_ai.get(k, MPoly.zero()) + MPoly.var("q", ai)
-            d_tilde_inv[k] = d_tilde_inv.get(k, MPoly.zero()) + MPoly.var(
-                "q", inv_count(w)
-            )
-    if lhs != _t_power_sum(r0_ai, n):
+    lhs = MPoly(families.tally(
+        n, lambda w: (des(w), 0, admissible_inversion_count(w), 0, 0, 0),
+        keep=lambda w: rixfact.rix(w) == 0,
+    ))
+    r0_ai = families.table(n, families.r0_index, _ai_exponent)
+    if lhs != gamma_sum(r0_ai, n):
         yield f"n={n}: restricted orbit expansion fails"
     # proof chain: f keeps ai and sends des = k to des = k - 1, and the
     # D~ index is des + 1, so both tables are keyed by the same k
-    if r0_ai != d_tilde_ai or d_tilde_ai != d_tilde_inv:
+    d_tilde_ai = families.table(n, families.d_tilde_index, _ai_exponent)
+    if r0_ai != d_tilde_ai or d_tilde_ai != families.dd_free_ascent_inv_table(n):
         yield f"n={n}: ai/inv proof-chain equality fails"
 
 
@@ -363,7 +344,7 @@ def _prop_5_1(n: int):
 
     def gamma_series(table) -> TruncatedSeries:
         """Slot m holds sum_k table(m)[k] t^k (1+t)^(m-2k); slot 0 = 1."""
-        return series(lambda m: _t_power_sum(table(m), m) if m else ONE)
+        return series(lambda m: gamma_sum(table(m), m) if m else ONE)
 
     # D = e(tz;q) - t e(z;q): slot m = t^m - t
     d_series = series(lambda m: t**m - t)
@@ -422,14 +403,13 @@ def _recurrence2(n: int):
 
 
 def _eq_qmul(n: int):
-    universe = list(range(1, n + 1))
+    universe = range(1, n + 1)
     for k in range(n + 1):
-        acc: dict[int, int] = {}
-        for subset in itertools.combinations(universe, k):
-            rest = [v for v in universe if v not in subset]
-            invs = sum(1 for a in subset for b in rest if a > b)
-            acc[invs] = acc.get(invs, 0) + 1
-        brute = MPoly({(0, 0, e, 0, 0, 0): c for e, c in acc.items()})
+        invs = Counter(
+            sum(1 for a in subset for b in universe if b not in subset and a > b)
+            for subset in itertools.combinations(universe, k)
+        )
+        brute = MPoly({(0, 0, e, 0, 0, 0): c for e, c in invs.items()})
         if q_binomial(n, k) != brute:
             yield f"[{n} {k}]_q != subset sum"
 
@@ -453,7 +433,7 @@ def _cycle_bis(n: int):
                 k: comb(n, j) * poly * b**j
                 for k, poly in families.cda_free_derangement_cyc_table(n - j).items()
             }
-            rhs = _t_power_sum(table, n - j)
+            rhs = gamma_sum(table, n - j)
         if lhs != rhs:
             yield f"n={n}, j={j}: cycle-bis identity fails"
 
@@ -487,15 +467,14 @@ def _sw3(n: int):
 
 
 def _remark_1_8(n: int):
-    by_des: dict[frozenset, tuple[dict, dict]] = {}
+    invs: defaultdict[frozenset, list[int]] = defaultdict(list)
+    imajs: defaultdict[frozenset, list[int]] = defaultdict(list)
     for w in words(n):
-        invs, imajs = by_des.setdefault(des_set(w), ({}, {}))
-        i1 = inv_count(w)
-        i2 = imaj(w)
-        invs[i1] = invs.get(i1, 0) + 1
-        imajs[i2] = imajs.get(i2, 0) + 1
-    for s, (invs, imajs) in by_des.items():
-        if invs != imajs:
+        s = des_set(w)
+        invs[s].append(inv_count(w))
+        imajs[s].append(imaj(w))
+    for s, values in invs.items():
+        if Counter(values) != Counter(imajs[s]):
             yield f"n={n}, DES={sorted(s)}: inv and imaj distributions differ"
 
 
@@ -503,15 +482,10 @@ def _remark_3_7(n: int):
     """Negative control: (FIX, maj) and (RIX, aid) must differ on S_3."""
     if n != 3:
         return
-    dist_fix: dict[tuple, int] = {}
-    dist_rix: dict[tuple, int] = {}
-    for w in words(n):
-        k1 = (fix_set(w), maj(w))
-        dist_fix[k1] = dist_fix.get(k1, 0) + 1
-        aid = admissible_inversion_count(w) + des(w)
-        k2 = (rixfact.rixed_points(w), aid)
-        dist_rix[k2] = dist_rix.get(k2, 0) + 1
-    if dist_fix == dist_rix:
+    fix_maj = families.tally(n, lambda w: (fix_set(w), maj(w)))
+    rix_aid = families.tally(n, lambda w: (
+        rixfact.rixed_points(w), admissible_inversion_count(w) + des(w)))
+    if fix_maj == rix_aid:
         yield "(FIX,maj) and (RIX,aid) coincide on S_3"
 
 
@@ -595,6 +569,7 @@ def run_check(check_id: str, max_n: int = 9) -> VerificationReport:
     n_max = min(max_n, check.ceiling)
     witnesses: list[str] = []
     start = time.perf_counter()
+    n_last = n_max
     for n in range(1, n_max + 1):
         try:
             for witness in check.claim(n):
@@ -605,11 +580,12 @@ def run_check(check_id: str, max_n: int = 9) -> VerificationReport:
             witnesses.append(f"n={n}: {type(exc).__name__}: {exc}")
         if len(witnesses) >= WITNESS_CAP:
             witnesses.append(f"stopped at n={n} after {WITNESS_CAP} witnesses")
+            n_last = n
             break
     elapsed = time.perf_counter() - start
     return VerificationReport(
         check_id=check_id,
-        n_range=(1, n_max),
+        n_range=(1, n_last),
         passed=not witnesses,
         witnesses=tuple(witnesses),
         elapsed=elapsed,

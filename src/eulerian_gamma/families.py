@@ -1,22 +1,41 @@
-"""Polynomial families built by exhaustive enumeration over S_n.
+"""Membership in the paper's permutation families, and the polynomial
+families built by exhaustive enumeration over S_n.
 
-Everything here is a direct sum over permutations; the structured or
+Each of the four families behind the gamma coefficients is defined here
+once, as an index function that returns the family index k of a word, or
+None for a word outside the family:
+
+- d_index: D_{n,k}, no double descent, k = des;
+- d_tilde_index: D~_{n,k}, no double descent and a final ascent,
+  k = des + 1;
+- e_index: E_{n,k}, derangements with no cyclic double ascent, k = exc;
+- r0_index: R0_{n,k}, one double descent and no rixed point, k = des.
+
+`classify` bundles them.  The empty word is in D_{0,0} and E_{0,0}, and is
+an alternating derangement, as in every family polynomial at n = 0.
+
+Everything else is a direct sum over permutations; the structured or
 extracted routes live in checks.py so the two sides stay independent.
 Each family is a filter on S_n plus a key: the key maps a word to its
-exponent 6-tuple (t, r, q, p, y, b), and _tally counts the keys in plain
-dicts for speed before wrapping into MPoly.  Keys call the perm kernels by
-name at call time, so rebinding a kernel reaches every family.
+exponent 6-tuple (t, r, q, p, y, b), and `tally` counts the keys in plain
+dicts for speed before wrapping into MPoly; `table` does the same per
+family index.  Index functions and keys call the perm kernels by name at
+call time, so rebinding a kernel reaches every family.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from . import rixfact
 from .errors import MismatchAgainstDirect
 from .mpoly import GammaExpansion, MPoly, gamma_extract
 from .perm import (
+    Permutation,
     admissible_inversion_count,
+    as_word,
     cda_count,
     cyc_count,
     dd_count,
@@ -31,7 +50,61 @@ from .perm import (
 )
 
 
-def _tally(n: int, key, keep=None) -> dict:
+# --- family membership ------------------------------------------------------
+
+def d_index(w: Sequence[int]) -> int | None:
+    """k for w in D_{n,k} (dd = 0, des = k), else None."""
+    return des(w) if dd_count(w) == 0 else None
+
+
+def d_tilde_index(w: Sequence[int]) -> int | None:
+    """k for w in D~_{n,k} (dd = 0, a final ascent, des = k - 1), else None."""
+    if len(w) >= 2 and w[-2] < w[-1] and dd_count(w) == 0:
+        return des(w) + 1
+    return None
+
+
+def e_index(w: Sequence[int]) -> int | None:
+    """k for w in E_{n,k} (fix = 0, cda = 0, exc = k), else None."""
+    return exc_count(w) if is_derangement(w) and cda_count(w) == 0 else None
+
+
+def r0_index(w: Sequence[int]) -> int | None:
+    """k for w in R0_{n,k} (dd = 1, rix = 0, des = k), else None."""
+    return des(w) if dd_count(w) == 1 and rixfact.rix(w) == 0 else None
+
+
+@dataclass(frozen=True)
+class Membership:
+    """Membership record in the four permutation families plus extras.
+
+    The k index is the defining index of each family (see the index
+    functions); it is None when the permutation is not a member.
+    """
+
+    d_k: int | None
+    d_tilde_k: int | None
+    e_k: int | None
+    r0_k: int | None
+    alternating: bool
+    derangement: bool
+
+
+def classify(p: Permutation | Sequence[int]) -> Membership:
+    w = as_word(p)
+    return Membership(
+        d_k=d_index(w),
+        d_tilde_k=d_tilde_index(w),
+        e_k=e_index(w),
+        r0_k=r0_index(w),
+        alternating=is_alternating(w),
+        derangement=is_derangement(w),
+    )
+
+
+# --- counting ---------------------------------------------------------------
+
+def tally(n: int, key, keep=None) -> dict:
     """{key(w): count} over the words w of S_n that pass keep."""
     acc: dict = {}
     for w in words(n):
@@ -41,12 +114,23 @@ def _tally(n: int, key, keep=None) -> dict:
     return acc
 
 
-def _table(n: int, key, keep=None) -> dict[int, MPoly]:
-    """k -> polynomial, for a key that returns (k, exponent 6-tuple)."""
-    table: dict[int, dict[tuple, int]] = {}
-    for (k, e), count in _tally(n, key, keep).items():
-        table.setdefault(k, {})[e] = count
-    return {k: MPoly(terms) for k, terms in table.items()}
+def table(n: int, index, exponent) -> dict[int, MPoly]:
+    """k -> sum of the monomials exponent(w) over the words w of S_n with
+    index(w) = k; words with index None are left out."""
+    by_k: dict[int, dict[tuple, int]] = {}
+    for w in words(n):
+        k = index(w)
+        if k is not None:
+            terms = by_k.setdefault(k, {})
+            e = exponent(w)
+            terms[e] = terms.get(e, 0) + 1
+    return {k: MPoly(terms) for k, terms in by_k.items()}
+
+
+def sizes(by_k: dict[int, MPoly]) -> dict[int, int]:
+    """k -> the number of words counted by a table: the sum of the
+    coefficients of its polynomial."""
+    return {k: sum(poly.terms.values()) for k, poly in by_k.items()}
 
 
 def _exc_fix_maj_key(w) -> tuple:
@@ -66,48 +150,42 @@ def _exc_fix_maj_key(w) -> tuple:
 @lru_cache(maxsize=None)
 def basic_eulerian(n: int) -> MPoly:
     """A_n(t, r, q) = sum over S_n of t^exc r^fix q^(maj - exc)."""
-    return MPoly(_tally(n, _exc_fix_maj_key))
+    return MPoly(tally(n, _exc_fix_maj_key))
 
 
 @lru_cache(maxsize=None)
 def basic_eulerian_desrix(n: int) -> MPoly:
     """The same polynomial via the triple (des, rix, ai)."""
-    return MPoly(_tally(n, lambda w: (
+    return MPoly(tally(n, lambda w: (
         des(w), rixfact.rix(w), admissible_inversion_count(w), 0, 0, 0)))
+
+
+def _inv_exponent(w) -> tuple:
+    return (0, 0, inv_count(w), 0, 0, 0)
 
 
 @lru_cache(maxsize=None)
 def dd_free_inv_table(n: int) -> dict[int, MPoly]:
-    """k -> sum of q^inv over permutations with dd = 0 and des = k."""
-    return _table(
-        n, lambda w: (des(w), (0, 0, inv_count(w), 0, 0, 0)),
-        keep=lambda w: dd_count(w) == 0,
-    )
+    """k -> sum of q^inv over D_{n,k}."""
+    return table(n, d_index, _inv_exponent)
 
 
 @lru_cache(maxsize=None)
 def dd_free_ascent_inv_table(n: int) -> dict[int, MPoly]:
-    """k -> sum of q^inv over dd-free permutations with a final ascent,
-    indexed by des + 1 (the derangement-side gamma index)."""
-    return _table(
-        n, lambda w: (des(w) + 1, (0, 0, inv_count(w), 0, 0, 0)),
-        keep=lambda w: len(w) >= 2 and w[-2] < w[-1] and dd_count(w) == 0,
-    )
+    """k -> sum of q^inv over D~_{n,k} (the derangement-side gamma index)."""
+    return table(n, d_tilde_index, _inv_exponent)
 
 
 @lru_cache(maxsize=None)
 def cda_free_derangement_cyc_table(n: int) -> dict[int, MPoly]:
-    """k -> sum of b^cyc over derangements with cda = 0 and exc = k."""
-    return _table(
-        n, lambda w: (exc_count(w), (0, 0, 0, 0, 0, cyc_count(w))),
-        keep=lambda w: is_derangement(w) and cda_count(w) == 0,
-    )
+    """k -> sum of b^cyc over E_{n,k}."""
+    return table(n, e_index, lambda w: (0, 0, 0, 0, 0, cyc_count(w)))
 
 
 @lru_cache(maxsize=None)
 def _exc_fix_cyc_poly(n: int) -> MPoly:
     """Sum over S_n of t^exc r^fix b^cyc."""
-    return MPoly(_tally(n, lambda w: (
+    return MPoly(tally(n, lambda w: (
         exc_count(w), len(fix_set(w)), 0, 0, 0, cyc_count(w))))
 
 
@@ -125,7 +203,7 @@ def _exc_maj_des_key(w) -> tuple:
 @lru_cache(maxsize=None)
 def derangement_exc_des_maj_poly(n: int) -> MPoly:
     """Sum over derangements of t^exc p^des q^(maj - exc)."""
-    return MPoly(_tally(n, _exc_maj_des_key, keep=is_derangement))
+    return MPoly(tally(n, _exc_maj_des_key, keep=is_derangement))
 
 
 @lru_cache(maxsize=None)
@@ -143,33 +221,30 @@ def fixed_count_cyc_exc_poly(n: int, j: int) -> MPoly:
 @lru_cache(maxsize=None)
 def alternating_inv_poly(n: int) -> MPoly:
     """Sum of q^inv over alternating permutations of [n]."""
-    return MPoly(_tally(
-        n, lambda w: (0, 0, inv_count(w), 0, 0, 0), keep=is_alternating))
+    return MPoly(tally(n, _inv_exponent, keep=is_alternating))
 
 
 # --- Gamma aggregates -----------------------------------------------------
 
+def _y_sum(by_k: dict[int, MPoly]) -> MPoly:
+    """sum_k y^k * by_k[k]."""
+    acc = MPoly.zero()
+    for k, poly in by_k.items():
+        acc = acc + MPoly.var("y", k) * poly
+    return acc
+
+
 @lru_cache(maxsize=None)
 def gamma_poly(n: int) -> MPoly:
     """Gamma_n(y, q) = sum over dd-free permutations of y^des q^inv."""
-    if n == 0:
-        return MPoly.const(1)
-    acc = MPoly.zero()
-    for k, poly in dd_free_inv_table(n).items():
-        acc = acc + MPoly.var("y", k) * poly if k > 0 else acc + poly
-    return acc
+    return _y_sum(dd_free_inv_table(n))
 
 
 @lru_cache(maxsize=None)
 def gamma_tilde_poly(n: int) -> MPoly:
     """GammaTilde_n(y, q) = sum over dd-free final-ascent permutations of
     y^(des + 1) q^inv; 1 for n = 0, 0 for n = 1."""
-    if n == 0:
-        return MPoly.const(1)
-    acc = MPoly.zero()
-    for k, poly in dd_free_ascent_inv_table(n).items():
-        acc = acc + MPoly.var("y", k) * poly
-    return acc
+    return _y_sum(dd_free_ascent_inv_table(n)) if n else MPoly.const(1)
 
 
 # --- gamma expansions with built-in cross-check ---------------------------

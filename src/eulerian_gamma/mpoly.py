@@ -175,16 +175,16 @@ class MPoly:
         """Render without spaces or '*', e.g. "2q+3q^2+2q^3+q^4"."""
         return _render(self, "", "")
 
-    def to_text_grouped(self, var: str = "t") -> str:
-        """Render grouped by powers of var, e.g. "1 + (3+2q)t + t^2"."""
+    def to_text_grouped(self) -> str:
+        """Render grouped by powers of t, e.g. "1 + (3+2q)t + t^2"."""
         if not self.terms:
             return "0"
         parts = []
-        for k in range(self.degree(var) + 1):
-            coeff = self.coeff_in(var, k)
+        for k in range(self.degree("t") + 1):
+            coeff = self.coeff_in("t", k)
             if coeff.is_zero():
                 continue
-            head = var if k == 1 else f"{var}^{k}"
+            head = "t" if k == 1 else f"t^{k}"
             if k == 0:
                 parts.append(coeff.to_text_compact())
             elif coeff == MPoly.const(1):
@@ -252,6 +252,14 @@ def one_plus_t_power(m: int) -> MPoly:
 
 # --- gamma expansion ------------------------------------------------------
 
+def gamma_sum(gammas: Mapping[int, MPoly], center: int) -> MPoly:
+    """The gamma basis: sum_k gammas[k] * t^k * (1+t)^(center - 2k)."""
+    total = MPoly.zero()
+    for k, g in gammas.items():
+        total = total + g * MPoly.var("t", k) * one_plus_t_power(center - 2 * k)
+    return total
+
+
 @dataclass(frozen=True)
 class GammaExpansion:
     """h(t) = sum_k gammas[k] * t^k * (1+t)^(center - 2k)."""
@@ -260,11 +268,7 @@ class GammaExpansion:
     gammas: tuple[MPoly, ...]
 
     def reconstruct(self) -> MPoly:
-        t = MPoly.var("t")
-        total = MPoly.zero()
-        for k, g in enumerate(self.gammas):
-            total = total + g * t**k * one_plus_t_power(self.center - 2 * k)
-        return total
+        return gamma_sum(dict(enumerate(self.gammas)), self.center)
 
     def at_q_one(self) -> tuple[int, ...]:
         """Each gamma specialized at q=1 (must be constant in the rest)."""
@@ -277,26 +281,24 @@ class GammaExpansion:
         return tuple(out)
 
 
-def gamma_extract(h: MPoly, center: int, var: str = "t") -> GammaExpansion:
-    """Peel gamma coefficients of h viewed as a polynomial in var.
+def gamma_extract(h: MPoly, center: int) -> GammaExpansion:
+    """Peel gamma coefficients of h viewed as a polynomial in t.
 
-    gamma_0 = [var^0]h, subtract gamma_0*(1+var)^center, continue.  Raises
+    gamma_0 = [t^0]h, subtract gamma_0*(1+t)^center, continue.  Raises
     NotExpandable when a residual term survives, i.e. h is not symmetric
     about center/2.
     """
-    if h.degree(var) > center:
+    if h.degree("t") > center:
         raise NotExpandable(
-            f"degree {h.degree(var)} exceeds center {center}"
+            f"degree {h.degree('t')} exceeds center {center}"
         )
-    tvar = MPoly.var(var)
-    one_plus = ONE + tvar
     residual = h
     gammas = []
     for k in range(center // 2 + 1):
-        g = residual.coeff_in(var, k)
+        g = residual.coeff_in("t", k)
         gammas.append(g)
         if not g.is_zero():
-            residual = residual - g * tvar**k * one_plus ** (center - 2 * k)
+            residual = residual - gamma_sum({k: g}, center)
     if not residual.is_zero():
         raise NotExpandable(
             f"no gamma expansion with center {center}: residual {residual.to_text()}"

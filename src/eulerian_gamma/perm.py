@@ -1,4 +1,4 @@
-"""Permutations of [n], word-level statistics, classification and enumeration.
+"""Permutations of [n], word-level statistics and enumeration.
 
 All statistics live on plain tuples of labels so that the exhaustive
 verification loops stay cheap; the Permutation wrapper adds validation and
@@ -10,7 +10,7 @@ single letter is a valley and valley = peak + 1 for every n >= 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, NotABijection
@@ -218,9 +218,13 @@ def is_derangement(w: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class StatisticBundle:
+    """Every statistic of one permutation; the fields are in output order."""
+
     exc: int
+    fix: int
     fix_set: frozenset[int]
     maj: int
+    des: int
     des_set: frozenset[int]
     inv: int
     imaj: int
@@ -236,36 +240,13 @@ class StatisticBundle:
     valley: int
     lyc: int
 
-    @property
-    def fix(self) -> int:
-        return len(self.fix_set)
-
-    @property
-    def des(self) -> int:
-        return len(self.des_set)
-
     def as_dict(self) -> dict:
-        return {
-            "exc": self.exc,
-            "fix": self.fix,
-            "fix_set": sorted(self.fix_set),
-            "maj": self.maj,
-            "des": self.des,
-            "des_set": sorted(self.des_set),
-            "inv": self.inv,
-            "imaj": self.imaj,
-            "ai": self.ai,
-            "aid": self.aid,
-            "rix": self.rix,
-            "rix_set": sorted(self.rix_set),
-            "cyc": self.cyc,
-            "cda": self.cda,
-            "dd": self.dd,
-            "da": self.da,
-            "peak": self.peak,
-            "valley": self.valley,
-            "lyc": self.lyc,
-        }
+        """Field name -> value, in field order; sets as sorted lists."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = sorted(value) if isinstance(value, frozenset) else value
+        return out
 
 
 def statistics(p: Permutation | Sequence[int]) -> StatisticBundle:
@@ -274,16 +255,19 @@ def statistics(p: Permutation | Sequence[int]) -> StatisticBundle:
     w = as_word(p)
     dd, da, peak, valley = shape_counts(w)
     ai = admissible_inversion_count(w)
-    nd = des(w)
+    fixes = fix_set(w)
+    descents = des_set(w)
     return StatisticBundle(
         exc=exc_count(w),
-        fix_set=fix_set(w),
+        fix=len(fixes),
+        fix_set=fixes,
         maj=maj(w),
-        des_set=des_set(w),
+        des=len(descents),
+        des_set=descents,
         inv=inv_count(w),
         imaj=imaj(w),
         ai=ai,
-        aid=ai + nd,
+        aid=ai + len(descents),
         rix=rixfact.rix(w),
         rix_set=rixfact.rixed_points(w),
         cyc=cyc_count(w),
@@ -293,51 +277,6 @@ def statistics(p: Permutation | Sequence[int]) -> StatisticBundle:
         peak=peak,
         valley=valley,
         lyc=bijections.lyc(w),
-    )
-
-
-# --- classification -------------------------------------------------------
-
-@dataclass(frozen=True)
-class Membership:
-    """Membership record in the four permutation families plus extras.
-
-    The k index is the defining index of each family (des or exc); it is
-    None when the permutation is not a member.
-    """
-
-    d_k: int | None          # dd = 0, des = k
-    d_tilde_k: int | None    # dd = 0, last step ascends, des = k - 1
-    e_k: int | None          # fix = 0, cda = 0, exc = k
-    r0_k: int | None         # rix = 0, dd = 1, des = k
-    alternating: bool
-    derangement: bool
-
-
-def classify(p: Permutation | Sequence[int]) -> Membership:
-    from . import rixfact
-
-    w = as_word(p)
-    n = len(w)
-    dd = dd_count(w)
-    k = des(w)
-    d_k = k if dd == 0 else None
-    d_tilde_k = None
-    if dd == 0 and n >= 2 and w[-2] < w[-1]:
-        d_tilde_k = k + 1
-    e_k = None
-    if n >= 1 and is_derangement(w) and cda_count(w) == 0:
-        e_k = exc_count(w)
-    r0_k = None
-    if n >= 1 and dd == 1 and rixfact.rix(w) == 0:
-        r0_k = k
-    return Membership(
-        d_k=d_k,
-        d_tilde_k=d_tilde_k,
-        e_k=e_k,
-        r0_k=r0_k,
-        alternating=n >= 1 and is_alternating(w),
-        derangement=n >= 1 and is_derangement(w),
     )
 
 

@@ -114,10 +114,6 @@ def rixed_points(p: Permutation | Sequence[int]) -> frozenset[int]:
     return rix_factorize(w).rix_set
 
 
-def beta1(p: Permutation | Sequence[int]) -> int:
-    return rix_factorize(p).beta1
-
-
 def format_factorization(fact: RixFactorization) -> str:
     parts = [" ".join(str(v) for v in a) for a in fact.alphas]
     parts.append(" ".join(str(v) for v in fact.beta))

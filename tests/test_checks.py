@@ -77,6 +77,7 @@ def test_witnesses_are_capped(monkeypatch):
     monkeypatch.setattr(checks, "is_alternating", lambda w: True)
     report = run_check("thm-1.3", max_n=8)
     assert not report.passed
+    assert report.n_range == (1, 4)
     assert len(report.witnesses) == WITNESS_CAP + 1
     assert report.witnesses[-1].startswith("stopped at n=")
     assert report.witnesses[-1].endswith(f"after {WITNESS_CAP} witnesses")

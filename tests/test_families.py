@@ -1,25 +1,37 @@
 """Enumerated polynomial families against the printed golden values and
-against each other."""
+against each other; family membership against literal definitions."""
+
+from collections import Counter
 
 import pytest
 
 from eulerian_gamma.errors import MismatchAgainstDirect, NotExpandable
 from eulerian_gamma.families import (
+    Membership,
     alternating_inv_poly,
     basic_eulerian,
     basic_eulerian_desrix,
     cda_free_derangement_cyc_table,
+    classify,
     cyc_gamma,
+    d_index,
+    d_tilde_index,
     dd_free_ascent_inv_table,
     dd_free_inv_table,
     derangement_cyc_poly,
+    derangement_exc_des_maj_poly,
+    e_index,
     gamma_basic,
     gamma_derangement,
     gamma_poly,
     gamma_tilde_poly,
+    r0_index,
+    sizes,
     sw3_gamma,
 )
 from eulerian_gamma.mpoly import MPoly, ONE
+from eulerian_gamma.perm import words
+from eulerian_gamma.rixfact import rixed_points
 
 t = MPoly.var("t")
 r = MPoly.var("r")
@@ -149,3 +161,72 @@ def test_gamma_extraction_rejects_wrong_center():
 
     with pytest.raises(NotExpandable):
         gamma_extract(basic_eulerian(4).substitute("r", 1), center=4)
+
+
+# --- family membership ------------------------------------------------------
+
+def _literal_dd(w):
+    """Double descents, scanned with +infinity (n + 1) on both sides."""
+    p = (len(w) + 1, *w, len(w) + 1)
+    return sum(1 for i in range(1, len(w) + 1) if p[i - 1] > p[i] > p[i + 1])
+
+
+def _literal_des(w):
+    return sum(1 for a, b in zip(w, w[1:]) if a > b)
+
+
+def _literal_cda(w):
+    """Values i with sigma^-1(i) < i < sigma(i), read off the cycles."""
+    seen, total = set(), 0
+    for start in range(1, len(w) + 1):
+        cycle = []
+        while start not in seen:
+            seen.add(start)
+            cycle.append(start)
+            start = w[start - 1]
+        total += sum(
+            1 for j, v in enumerate(cycle)
+            if cycle[j - 1] < v < cycle[(j + 1) % len(cycle)]
+        )
+    return total
+
+
+def test_index_functions_match_literal_definitions():
+    for n in range(8):  # n = 0 is the empty word
+        for w in words(n):
+            dd, des = _literal_dd(w), _literal_des(w)
+            exc = sum(1 for i, v in enumerate(w, 1) if v > i)
+            derangement = all(v != i for i, v in enumerate(w, 1))
+            final_ascent = n >= 2 and w[-2] < w[-1]
+            assert d_index(w) == (des if dd == 0 else None), w
+            assert d_tilde_index(w) == (
+                des + 1 if dd == 0 and final_ascent else None), w
+            assert e_index(w) == (
+                exc if derangement and _literal_cda(w) == 0 else None), w
+            assert r0_index(w) == (
+                des if dd == 1 and not rixed_points(w) else None), w
+
+
+def test_classify_counts_as_the_family_polynomials():
+    """n = 0 included: the empty word is in D_{0,0} and E_{0,0} and is an
+    alternating derangement, as every family polynomial counts it."""
+    assert classify(()) == Membership(
+        d_k=0, d_tilde_k=None, e_k=0, r0_k=None,
+        alternating=True, derangement=True,
+    )
+    for n in range(6):
+        members = [classify(w) for w in words(n)]
+
+        def count(field):
+            return Counter(
+                getattr(m, field) for m in members
+                if getattr(m, field) is not None
+            )
+
+        assert sizes(dd_free_inv_table(n)) == count("d_k")
+        assert sizes(dd_free_ascent_inv_table(n)) == count("d_tilde_k")
+        assert sizes(cda_free_derangement_cyc_table(n)) == count("e_k")
+        assert alternating_inv_poly(n).substitute("q", 1) == sum(
+            m.alternating for m in members)
+        assert sum(derangement_exc_des_maj_poly(n).terms.values()) == sum(
+            m.derangement for m in members)

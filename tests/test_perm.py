@@ -6,11 +6,11 @@ import itertools
 import pytest
 
 from eulerian_gamma.errors import BudgetExceeded, NotABijection
+from eulerian_gamma.families import classify
 from eulerian_gamma.perm import (
     Permutation,
     admissible_inversion_count,
     cda_count,
-    classify,
     cyc_count,
     dd_count,
     des,

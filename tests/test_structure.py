@@ -1,6 +1,7 @@
 """Design guards: S_n is enumerated only through perm.words, the
-enumeration ceiling is defined only as perm.MAX_N, and every check is a
-declared per-n claim whose n loop lives in checks.run_check alone."""
+enumeration ceiling is defined only as perm.MAX_N, every check is a
+declared per-n claim whose n loop lives in checks.run_check alone, and the
+rules of the D~, E and R0 families are written only in families."""
 
 import ast
 from pathlib import Path
@@ -67,3 +68,52 @@ def test_only_run_check_loops_over_n():
         and id(node) not in inside_runner
     ]
     assert not offenders, f"a claim checks one size n; run_check loops: {offenders}"
+
+
+def _subscript_index(node):
+    if isinstance(node, ast.Subscript):
+        try:
+            return ast.literal_eval(node.slice)
+        except ValueError:
+            return None
+    return None
+
+
+def _called(node) -> str | None:
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name):
+            return func.id
+        if isinstance(func, ast.Attribute):
+            return func.attr
+    return None
+
+
+def _family_rule(node) -> str | None:
+    """The family whose rule a comparison restates: a final ascent
+    x[-2] < x[-1] (D~), cda_count(...) == 0 (E) or dd_count(...) == 1 (R0)."""
+    if not isinstance(node, ast.Compare) or len(node.ops) != 1:
+        return None
+    left, op, right = node.left, node.ops[0], node.comparators[0]
+    ends = (_subscript_index(left), _subscript_index(right))
+    if (isinstance(op, ast.Lt) and ends == (-2, -1)) or (
+        isinstance(op, ast.Gt) and ends == (-1, -2)
+    ):
+        return "D~"
+    if isinstance(op, ast.Eq) and isinstance(right, ast.Constant):
+        return {("cda_count", 0): "E", ("dd_count", 1): "R0"}.get(
+            (_called(left), right.value))
+    return None
+
+
+def test_family_rules_live_in_families():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "families.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            family = _family_rule(node)
+            if family:
+                offenders.append(f"{path.name}:{node.lineno} ({family})")
+    assert not offenders, (
+        f"use the families index functions instead of restating: {offenders}")
