@@ -18,14 +18,8 @@ from .mpoly import (
     q_binomial,
     q_factorial,
 )
-from .perm import (
-    Permutation,
-    StatisticBundle,
-    enumerate_perms,
-    parse_permutation,
-    statistics,
-)
-from .series import TruncatedSeries, q_exp_series
+from .perm import StatisticBundle, parse_permutation, statistics
+from .series import TruncatedSeries
 from .rixfact import RixFactorization, rix, rix_factorize, rixed_points
 from .actions import (
     canonical_rep,
@@ -65,14 +59,11 @@ __all__ = [
     "q_binomial",
     "q_factorial",
     "Membership",
-    "Permutation",
     "StatisticBundle",
     "classify",
-    "enumerate_perms",
     "parse_permutation",
     "statistics",
     "TruncatedSeries",
-    "q_exp_series",
     "RixFactorization",
     "rix",
     "rix_factorize",

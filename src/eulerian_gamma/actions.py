@@ -9,11 +9,11 @@ the test suite checks exhaustively).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import rixfact
 from .errors import LabelOutOfRange, NotInDomain
-from .perm import Permutation, WordT, as_word, dd_letters
+from .perm import WordT, dd_letters
 
 
 def _x_blocks(w: WordT, x: int) -> tuple[int, int, int]:
@@ -37,42 +37,35 @@ def _hop(w: WordT, lo: int, pos: int, hi: int) -> WordT:
     return w[:lo] + w[pos + 1: hi] + w[pos: pos + 1] + w[lo:pos] + w[hi:]
 
 
-def x_factorization(
-    p: Permutation | Sequence[int], x: int
-) -> tuple[WordT, WordT, WordT, WordT]:
+def x_factorization(w: WordT, x: int) -> tuple[WordT, WordT, WordT, WordT]:
     """sigma = w1 w2 x w3 w4 with w2 (w3) the maximal contiguous block
     immediately left (right) of x whose letters are all smaller than x."""
-    w = as_word(p)
     lo, pos, hi = _x_blocks(w, x)
     return w[:lo], w[lo:pos], w[pos + 1: hi], w[hi:]
 
 
-def foata_strehl(p: Permutation | Sequence[int], x: int) -> WordT:
+def foata_strehl(w: WordT, x: int) -> WordT:
     """phi_x: swap the two small-letter blocks adjacent to x."""
-    w = as_word(p)
     return _hop(w, *_x_blocks(w, x))
 
 
-def mfs_single(p: Permutation | Sequence[int], x: int) -> WordT:
+def mfs_single(w: WordT, x: int) -> WordT:
     """phi_x': hop x if it is a double ascent or double descent, i.e. if
     exactly one of its two small-letter blocks is empty."""
-    w = as_word(p)
     lo, pos, hi = _x_blocks(w, x)
     if (lo == pos) == (pos + 1 == hi):  # peak or valley
         return w
     return _hop(w, lo, pos, hi)
 
 
-def mfs(p: Permutation | Sequence[int], labels: Iterable[int]) -> WordT:
-    w = as_word(p)
+def mfs(w: WordT, labels: Iterable[int]) -> WordT:
     for x in sorted(set(labels)):
         w = mfs_single(w, x)
     return w
 
 
-def restricted_mfs_single(p: Permutation | Sequence[int], x: int) -> WordT:
+def restricted_mfs_single(w: WordT, x: int) -> WordT:
     """phi_x'': like phi_x' but beta1 and all rixed points are frozen."""
-    w = as_word(p)
     if not 1 <= x <= len(w):
         raise LabelOutOfRange(f"label {x} not in 1..{len(w)}")
     fact = rixfact.rix_factorize(w)
@@ -81,8 +74,7 @@ def restricted_mfs_single(p: Permutation | Sequence[int], x: int) -> WordT:
     return mfs_single(w, x)
 
 
-def restricted_mfs(p: Permutation | Sequence[int], labels: Iterable[int]) -> WordT:
-    w = as_word(p)
+def restricted_mfs(w: WordT, labels: Iterable[int]) -> WordT:
     for x in sorted(set(labels)):
         w = restricted_mfs_single(w, x)
     return w
@@ -91,10 +83,9 @@ def restricted_mfs(p: Permutation | Sequence[int], labels: Iterable[int]) -> Wor
 _SINGLE = {"mfs": mfs_single, "restricted": restricted_mfs_single}
 
 
-def orbit(p: Permutation | Sequence[int], action: str = "mfs") -> set[WordT]:
+def orbit(start: WordT, action: str = "mfs") -> set[WordT]:
     """Closure of {sigma} under all singleton generators (BFS)."""
     single = _SINGLE[action]
-    start = as_word(p)
     n = len(start)
     seen = {start}
     frontier = [start]
@@ -108,7 +99,7 @@ def orbit(p: Permutation | Sequence[int], action: str = "mfs") -> set[WordT]:
     return seen
 
 
-def canonical_rep(p: Permutation | Sequence[int], action: str = "mfs") -> WordT:
+def canonical_rep(w: WordT, action: str = "mfs") -> WordT:
     """mfs: the unique orbit element without double descent.
 
     restricted: for sigma with rix(sigma) = 0, the unique orbit element
@@ -116,7 +107,6 @@ def canonical_rep(p: Permutation | Sequence[int], action: str = "mfs") -> WordT:
     only its own letter between double descent and double ascent, so one
     set action on the double-descent letters reaches the representative.
     """
-    w = as_word(p)
     if action == "mfs":
         return mfs(w, dd_letters(w))
     if action == "restricted":

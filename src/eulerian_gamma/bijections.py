@@ -12,15 +12,14 @@ from typing import Sequence
 
 from . import actions, families, rixfact
 from .errors import NotInDomain
-from .perm import Permutation, WordT, as_word, cyc_count
+from .perm import WordT, cyc_count
 
 CycleT = tuple[int, ...]
 
 
-def scf(p: Permutation | Sequence[int]) -> tuple[CycleT, ...]:
+def scf(w: WordT) -> tuple[CycleT, ...]:
     """Standard cycle form: every cycle max-first; long cycles by
     decreasing maximum; fixed points last, increasing."""
-    w = as_word(p)
     n = len(w)
     seen = [False] * (n + 1)
     long_cycles = []
@@ -64,9 +63,8 @@ def _hook_cycle(word: WordT) -> CycleT:
     return (word[0],) + tuple(reversed(word[1:]))
 
 
-def phi(p: Permutation | Sequence[int]) -> WordT:
+def phi(w: WordT) -> WordT:
     """des(sigma) = exc(phi(sigma)) and RIX(sigma) = FIX(phi(sigma))."""
-    w = as_word(p)
     n = len(w)
     if n == 0:
         return ()
@@ -83,8 +81,7 @@ def phi(p: Permutation | Sequence[int]) -> WordT:
     return word_from_cycles(cycles, n)
 
 
-def phi_inv(p: Permutation | Sequence[int]) -> WordT:
-    w = as_word(p)
+def phi_inv(w: WordT) -> WordT:
     n = len(w)
     if n == 0:
         return ()
@@ -108,25 +105,22 @@ def phi_inv(p: Permutation | Sequence[int]) -> WordT:
     return out + tuple(fixed)
 
 
-def lyc(p: Permutation | Sequence[int]) -> int:
+def lyc(w: WordT) -> int:
     """Number of cycles of phi(sigma)."""
-    w = as_word(p)
     if not w:
         return 0
     return cyc_count(phi(w))
 
 
-def f_map(p: Permutation | Sequence[int]) -> WordT:
+def f_map(w: WordT) -> WordT:
     """Hop beta1: bijection from R0_{n,k} (rix = 0, dd = 1, des = k) onto
     D~_{n,k} (dd = 0, a final ascent, des = k - 1)."""
-    w = as_word(p)
     if families.r0_index(w) is None:
         raise NotInDomain("f needs rix(sigma) = 0 and dd(sigma) = 1")
     return actions.mfs_single(w, rixfact.rix_factorize(w).beta1)
 
 
-def f_inv(p: Permutation | Sequence[int]) -> WordT:
-    w = as_word(p)
+def f_inv(w: WordT) -> WordT:
     if families.d_tilde_index(w) is None:
         raise NotInDomain(
             "f_inv needs dd(sigma) = 0 and a final ascent (n >= 2)"

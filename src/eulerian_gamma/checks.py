@@ -11,14 +11,17 @@ counterexample it finds.
 timing, the witness cap (after `WITNESS_CAP` witnesses the check stops
 with one "stopped at" line, and its n_range ends at that n) and
 containment: an exception raised by a claim becomes the witness
-"n=<n>: <type>: <message>" and the run goes on with the next n.  A
+"n=<n>: <type>: <message> (at <file>:<line> in <function>)", naming the
+innermost frame of its traceback, and the run goes on with the next n.  A
 report's witnesses are empty exactly when the check passed.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import time
+import traceback
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -577,7 +580,11 @@ def run_check(check_id: str, max_n: int = 9) -> VerificationReport:
                 if len(witnesses) == WITNESS_CAP:
                     break
         except Exception as exc:  # one failing claim must not lose the run
-            witnesses.append(f"n={n}: {type(exc).__name__}: {exc}")
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            witnesses.append(
+                f"n={n}: {type(exc).__name__}: {exc} (at "
+                f"{os.path.basename(where.filename)}:{where.lineno} in {where.name})"
+            )
         if len(witnesses) >= WITNESS_CAP:
             witnesses.append(f"stopped at n={n} after {WITNESS_CAP} witnesses")
             n_last = n

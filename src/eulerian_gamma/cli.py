@@ -27,54 +27,62 @@ from .perm import MAX_N, format_word, parse_permutation, shape_counts, statistic
 DEFAULT_MAX_N = 9
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--max-n",
+# The common flags; each subcommand declares the ones it reads.
+_FLAGS = {
+    "--max-n": dict(
         type=int,
         default=None,
         help=f"enumeration ceiling (1..{MAX_N}, default {DEFAULT_MAX_N} "
         "or EULERIAN_GAMMA_MAX_N)",
-    )
-    common.add_argument(
-        "--output",
+    ),
+    "--output": dict(
         choices=("json", "tsv", "text"),
         default="text",
         help="output format (default text)",
-    )
-    common.add_argument(
-        "--threads",
+    ),
+    "--threads": dict(
         type=int,
         default=1,
         help="verification workers (0 = auto, default 1; at most one per check)",
-    )
-    common.add_argument(
-        "--group-by-t",
+    ),
+    "--group-by-t": dict(
         action="store_true",
         help="group polynomial output by powers of t",
-    )
+    ),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eulerian-gamma",
         description=__doc__,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_stats = sub.add_parser(
-        "stats", parents=[common], help="all statistics of one permutation"
+    def command(name, handler, summary, *flags):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
+
+    p_stats = command(
+        "stats", cmd_stats, "all statistics of one permutation", "--output"
     )
     p_stats.add_argument("perm")
 
-    p_gamma = sub.add_parser(
-        "gamma", parents=[common], help="gamma coefficient table"
+    p_gamma = command(
+        "gamma", cmd_gamma, "gamma coefficient table",
+        "--max-n", "--output", "--group-by-t",
     )
     p_gamma.add_argument(
         "family", choices=("basic", "derangement", "cyc", "sw3")
     )
     p_gamma.add_argument("n", type=int)
 
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="run verification checks"
+    p_verify = command(
+        "verify", cmd_verify, "run verification checks",
+        "--max-n", "--output", "--threads",
     )
     p_verify.add_argument(
         "check_ids",
@@ -83,21 +91,19 @@ def build_parser() -> argparse.ArgumentParser:
         help='check ids, or "all"',
     )
 
-    p_map = sub.add_parser("map", parents=[common], help="apply a bijection")
+    p_map = command("map", cmd_map, "apply a bijection")
     p_map.add_argument("name", choices=("phi", "phi-inv", "f", "f-inv"))
     p_map.add_argument("perm")
 
-    p_orbit = sub.add_parser(
-        "orbit", parents=[common], help="valley-hopping orbit"
+    p_orbit = command(
+        "orbit", cmd_orbit, "valley-hopping orbit", "--max-n", "--output"
     )
     p_orbit.add_argument("perm")
     p_orbit.add_argument(
         "--action", choices=("mfs", "restricted"), default="mfs"
     )
 
-    p_rix = sub.add_parser(
-        "rixfact", parents=[common], help="rix-factorization"
-    )
+    p_rix = command("rixfact", cmd_rixfact, "rix-factorization")
     p_rix.add_argument("perm")
 
     return parser
@@ -151,9 +157,9 @@ _GAMMA_FAMILIES = {
 }
 
 
-def cmd_gamma(args: argparse.Namespace, max_n: int) -> int:
-    if args.n < 1 or args.n > max_n:
-        print(f"n must be in 1..{max_n}", file=sys.stderr)
+def cmd_gamma(args: argparse.Namespace) -> int:
+    if args.n < 1 or args.n > args.max_n:
+        print(f"n must be in 1..{args.max_n}", file=sys.stderr)
         return 2
     try:
         expansion: GammaExpansion = _GAMMA_FAMILIES[args.family](args.n)
@@ -189,7 +195,7 @@ def _run_one(item: tuple[str, int]) -> checks.VerificationReport:
     return checks.run_check(check_id, max_n)
 
 
-def cmd_verify(args: argparse.Namespace, max_n: int) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     if args.check_ids == ["all"]:
         ids = list(checks.CHECKS)
     else:
@@ -202,7 +208,7 @@ def cmd_verify(args: argparse.Namespace, max_n: int) -> int:
         print(f"error: --threads must be 0 (auto) or positive, got {args.threads}",
               file=sys.stderr)
         return 2
-    jobs = [(cid, max_n) for cid in ids]
+    jobs = [(cid, args.max_n) for cid in ids]
     # the pool starts every worker at once, so never more than there are jobs
     workers = min(args.threads or os.cpu_count() or 1, len(jobs))
     if workers <= 1:
@@ -233,14 +239,15 @@ _MAPS = {
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    w = parse_permutation(args.perm).word
+    w = parse_permutation(args.perm)
     image = _MAPS[args.name](w)
     print(format_word(image))
     return 0
 
 
-def cmd_orbit(args: argparse.Namespace, max_n: int) -> int:
-    w = parse_permutation(args.perm).word
+def cmd_orbit(args: argparse.Namespace) -> int:
+    max_n = args.max_n
+    w = parse_permutation(args.perm)
     # each double descent and double ascent toggles independently, so an
     # orbit has at most 2^(dd+da) members; 2^(max_n-1) admits all of S_max_n's
     dd, da, _, _ = shape_counts(w)
@@ -258,7 +265,7 @@ def cmd_orbit(args: argparse.Namespace, max_n: int) -> int:
 
 
 def cmd_rixfact(args: argparse.Namespace) -> int:
-    w = parse_permutation(args.perm).word
+    w = parse_permutation(args.perm)
     if not w:
         print("rixfact requires n >= 1", file=sys.stderr)
         return 2
@@ -270,20 +277,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        max_n = _resolve_max_n(args)
-        if args.command == "stats":
-            return cmd_stats(args)
-        if args.command == "gamma":
-            return cmd_gamma(args, max_n)
-        if args.command == "verify":
-            return cmd_verify(args, max_n)
-        if args.command == "map":
-            return cmd_map(args)
-        if args.command == "orbit":
-            return cmd_orbit(args, max_n)
-        if args.command == "rixfact":
-            return cmd_rixfact(args)
-        return 2
+        if "max_n" in args:  # only the subcommands that read it
+            args.max_n = _resolve_max_n(args)
+        return args.handler(args)
     except NotABijection as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

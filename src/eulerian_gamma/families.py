@@ -14,8 +14,13 @@ None for a word outside the family:
 `classify` bundles them.  The empty word is in D_{0,0} and E_{0,0}, and is
 an alternating derangement, as in every family polynomial at n = 0.
 
-Everything else is a direct sum over permutations; the structured or
-extracted routes live in checks.py so the two sides stay independent.
+Everything else is a direct sum over permutations, apart from the four
+gamma tables (gamma_basic, gamma_derangement, cyc_gamma, sw3_gamma): each
+extracts gamma coefficients from a family polynomial with
+mpoly.gamma_extract, and the first three raise MismatchAgainstDirect
+unless the result equals the direct sums of their k-table.  The other
+structured routes (recurrences, series, bijections) live in checks.py, so
+the two sides stay independent.
 Each family is a filter on S_n plus a key: the key maps a word to its
 exponent 6-tuple (t, r, q, p, y, b), and `tally` counts the keys in plain
 dicts for speed before wrapping into MPoly; `table` does the same per
@@ -27,15 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 from . import rixfact
 from .errors import MismatchAgainstDirect
 from .mpoly import GammaExpansion, MPoly, gamma_extract
 from .perm import (
-    Permutation,
+    WordT,
     admissible_inversion_count,
-    as_word,
     cda_count,
     cyc_count,
     dd_count,
@@ -52,24 +55,24 @@ from .perm import (
 
 # --- family membership ------------------------------------------------------
 
-def d_index(w: Sequence[int]) -> int | None:
+def d_index(w: WordT) -> int | None:
     """k for w in D_{n,k} (dd = 0, des = k), else None."""
     return des(w) if dd_count(w) == 0 else None
 
 
-def d_tilde_index(w: Sequence[int]) -> int | None:
+def d_tilde_index(w: WordT) -> int | None:
     """k for w in D~_{n,k} (dd = 0, a final ascent, des = k - 1), else None."""
     if len(w) >= 2 and w[-2] < w[-1] and dd_count(w) == 0:
         return des(w) + 1
     return None
 
 
-def e_index(w: Sequence[int]) -> int | None:
+def e_index(w: WordT) -> int | None:
     """k for w in E_{n,k} (fix = 0, cda = 0, exc = k), else None."""
     return exc_count(w) if is_derangement(w) and cda_count(w) == 0 else None
 
 
-def r0_index(w: Sequence[int]) -> int | None:
+def r0_index(w: WordT) -> int | None:
     """k for w in R0_{n,k} (dd = 1, rix = 0, des = k), else None."""
     return des(w) if dd_count(w) == 1 and rixfact.rix(w) == 0 else None
 
@@ -90,8 +93,7 @@ class Membership:
     derangement: bool
 
 
-def classify(p: Permutation | Sequence[int]) -> Membership:
-    w = as_word(p)
+def classify(w: WordT) -> Membership:
     return Membership(
         d_k=d_index(w),
         d_tilde_k=d_tilde_index(w),

@@ -48,13 +48,6 @@ class MPoly:
         e[_VAR_INDEX[name]] = power
         return MPoly({tuple(e): 1})
 
-    @staticmethod
-    def monomial(coeff: int, **powers: int) -> "MPoly":
-        e = [0] * NVARS
-        for name, k in powers.items():
-            e[_VAR_INDEX[name]] = k
-        return MPoly({tuple(e): coeff}) if coeff else MPoly()
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "MPoly | int") -> "MPoly":
@@ -218,7 +211,6 @@ def _coerce(x: "MPoly | int") -> MPoly:
     return x if isinstance(x, MPoly) else MPoly.const(x)
 
 
-ZERO = MPoly.zero()
 ONE = MPoly.const(1)
 
 

@@ -1,17 +1,18 @@
 """Permutations of [n], word-level statistics and enumeration.
 
-All statistics live on plain tuples of labels so that the exhaustive
-verification loops stay cheap; the Permutation wrapper adds validation and
-the text format used by the CLI.  Local shape statistics (dd, da, peak,
-valley) use the boundary convention sigma_0 = sigma_{n+1} = +infinity, so a
-single letter is a valley and valley = peak + 1 for every n >= 1.
+A permutation is its one-line word, a plain tuple of labels, everywhere in
+the package: the kernels neither wrap nor convert it.  Outside input enters
+through parse_permutation, the one place that checks the word is a
+rearrangement of 1..n.  Local shape statistics (dd, da, peak, valley) use
+the boundary convention sigma_0 = sigma_{n+1} = +infinity, so a single
+letter is a valley and valley = peak + 1 for every n >= 1.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, NotABijection
 
@@ -20,57 +21,27 @@ MAX_N = 12  # enumeration ceiling of words() and of the CLI's --max-n
 WordT = tuple[int, ...]
 
 
-def as_word(p: "Permutation | Sequence[int]") -> WordT:
-    if isinstance(p, Permutation):
-        return p.word
-    return tuple(p)
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of [n] identified with its one-line word."""
-
-    word: WordT
-
-    def __post_init__(self) -> None:
-        w = tuple(self.word)
-        object.__setattr__(self, "word", w)
-        if sorted(w) != list(range(1, len(w) + 1)):
-            raise NotABijection(f"not a rearrangement of 1..{len(w)}: {w}")
-
-    def __len__(self) -> int:
-        return len(self.word)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.word)
-
-    def __str__(self) -> str:
-        return format_word(self.word)
-
-
-def from_word(letters: Sequence[int]) -> Permutation:
-    return Permutation(tuple(letters))
-
-
-def parse_permutation(text: str) -> Permutation:
-    """Parse "2743156" (digits, n <= 9) or "10,8,4,9,7,2,5,3,6,1"."""
+def parse_permutation(text: str) -> WordT:
+    """Parse "2743156" (digits, n <= 9) or "10,8,4,9,7,2,5,3,6,1" into a
+    word; NotABijection unless it is a rearrangement of 1..n."""
     text = text.strip()
     if not text:
-        return Permutation(())
+        return ()
     if "," in text:
         try:
-            letters = [int(part) for part in text.split(",")]
+            w = tuple(int(part) for part in text.split(","))
         except ValueError as exc:
             raise NotABijection(f"unparseable permutation: {text!r}") from exc
     elif text.isdigit():
-        letters = [int(ch) for ch in text]
+        w = tuple(int(ch) for ch in text)
     else:
         raise NotABijection(f"unparseable permutation: {text!r}")
-    return from_word(letters)
+    if sorted(w) != list(range(1, len(w) + 1)):
+        raise NotABijection(f"not a rearrangement of 1..{len(w)}: {w}")
+    return w
 
 
 def format_word(w: Sequence[int]) -> str:
-    w = tuple(w)
     if len(w) <= 9:
         return "".join(str(v) for v in w)
     return ",".join(str(v) for v in w)
@@ -249,10 +220,9 @@ class StatisticBundle:
         return out
 
 
-def statistics(p: Permutation | Sequence[int]) -> StatisticBundle:
+def statistics(w: WordT) -> StatisticBundle:
     from . import bijections, rixfact  # cycle: bijections needs perm
 
-    w = as_word(p)
     dd, da, peak, valley = shape_counts(w)
     ai = admissible_inversion_count(w)
     fixes = fix_set(w)
@@ -290,11 +260,3 @@ def words(n: int) -> Iterator[WordT]:
         raise BudgetExceeded(f"n={n} exceeds enumeration ceiling {MAX_N}")
     return itertools.permutations(range(1, n + 1))
 
-
-def enumerate_perms(
-    n: int, pred: Callable[[Permutation], bool] | None = None
-) -> Iterator[Permutation]:
-    for w in words(n):
-        p = Permutation(w)
-        if pred is None or pred(p):
-            yield p

@@ -9,22 +9,19 @@ that rix(w) == len(rixed_points(w)) for every permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-from .perm import Permutation, WordT, as_word
+from .perm import WordT
 
 L_HOOK = "L"
 F_HOOK = "F"
 
 
-def rix(w: Sequence[int] | Permutation) -> int:
+def rix(w: WordT) -> int:
     """Recursive rix: split at the maximum letter.
 
     A single letter scores 1 (the i == k branch); a word whose maximum is
     first with length >= 2 scores 0; otherwise recurse on the suffix after
     the maximum.
     """
-    w = as_word(w)
     total = 0
     while w:
         k = len(w)
@@ -39,10 +36,9 @@ def rix(w: Sequence[int] | Permutation) -> int:
     return total
 
 
-def hook_kind(w: Sequence[int]) -> str:
+def hook_kind(w: WordT) -> str:
     """L-hook: last letter is the maximum (length-1 words included).
     F-hook: first letter is the maximum, length >= 2."""
-    w = tuple(w)
     m = max(w)
     if len(w) == 1 or w[-1] == m:
         return L_HOOK
@@ -76,10 +72,9 @@ def _greatest_descent_top(w: WordT) -> int | None:
     return best
 
 
-def rix_factorize(p: Permutation | Sequence[int]) -> RixFactorization:
+def rix_factorize(w: WordT) -> RixFactorization:
     """Factor sigma = alpha_1 ... alpha_i beta by repeatedly cutting after
     the greatest descent top; each alpha_j is an L-hook of length >= 2."""
-    w = as_word(p)
     if not w:
         raise ValueError("rix-factorization requires n >= 1")
     alphas: list[WordT] = []
@@ -107,8 +102,7 @@ def rix_factorize(p: Permutation | Sequence[int]) -> RixFactorization:
     )
 
 
-def rixed_points(p: Permutation | Sequence[int]) -> frozenset[int]:
-    w = as_word(p)
+def rixed_points(w: WordT) -> frozenset[int]:
     if not w:
         return frozenset()
     return rix_factorize(w).rix_set

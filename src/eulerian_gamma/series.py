@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .mpoly import MPoly, ONE, q_binomial
+from .mpoly import MPoly, q_binomial
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,6 @@ class TruncatedSeries:
     def __getitem__(self, n: int) -> MPoly:
         return self.coeffs[n]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n_max = min(self.order, other.order)
         slots = []
@@ -45,35 +40,7 @@ class TruncatedSeries:
             slots.append(acc)
         return TruncatedSeries(tuple(slots))
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n_max = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coeffs[n] - other.coeffs[n] for n in range(n_max + 1))
-        )
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n_max = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coeffs[n] + other.coeffs[n] for n in range(n_max + 1))
-        )
-
-    def scale(self, factor: MPoly | int) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(c * factor for c in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
 
 def from_slots(slots: list[MPoly]) -> TruncatedSeries:
     return TruncatedSeries(tuple(slots))
 
-
-def q_exp_series(scale: MPoly | int, order: int) -> TruncatedSeries:
-    """e(scale*z; q) truncated at z^order: slot n stores scale^n."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    scale_p = scale if isinstance(scale, MPoly) else MPoly.const(scale)
-    slots = [ONE]
-    for _ in range(order):
-        slots.append(slots[-1] * scale_p)
-    return TruncatedSeries(tuple(slots))

@@ -67,8 +67,11 @@ def test_exception_in_claim_is_a_failed_report(monkeypatch):
     failed, passed = run_checks(["thm-1.4", "table-1"], max_n=5)
     assert not failed.passed
     assert failed.n_range == (1, 5)
+    # the witness names the innermost frame: the raising function
+    line = _raise.__code__.co_firstlineno + 1
     assert failed.witnesses == tuple(
-        f"n={n}: RuntimeError: injected" for n in range(1, 6)
+        f"n={n}: RuntimeError: injected (at test_checks.py:{line} in _raise)"
+        for n in range(1, 6)
     )
     assert passed.check_id == "table-1" and passed.passed
 

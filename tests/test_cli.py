@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from eulerian_gamma.cli import main
+from eulerian_gamma.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +122,52 @@ def test_env_var_cap(capsys, monkeypatch):
     assert err == "n must be in 1..3\n"
 
 
+def test_env_var_is_read_only_by_subcommands_with_max_n(capsys, monkeypatch):
+    monkeypatch.setenv("EULERIAN_GAMMA_MAX_N", "abc")
+    code, out, err = run_cli(capsys, "stats", "213")
+    assert code == 0 and err == ""
+    assert "des = 1" in out
+
+
+# subcommand -> (positional arguments, the common flags it reads)
+SUBCOMMAND_FLAGS = {
+    "stats": (["213"], {"--output"}),
+    "gamma": (["basic", "4"], {"--max-n", "--output", "--group-by-t"}),
+    "verify": (["table-1"], {"--max-n", "--output", "--threads"}),
+    "map": (["phi", "213"], set()),
+    "orbit": (["213"], {"--max-n", "--output"}),
+    "rixfact": (["213"], set()),
+}
+COMMON_FLAGS = {"--max-n": ["4"], "--output": ["json"], "--threads": ["1"],
+                "--group-by-t": []}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
+    parser = build_parser()
+    accepted = set()
+    for name, (positional, _) in SUBCOMMAND_FLAGS.items():
+        for flag, value in COMMON_FLAGS.items():
+            try:
+                parser.parse_args([name, *positional, flag, *value])
+            except SystemExit:
+                continue
+            accepted.add((name, flag))
+    capsys.readouterr()
+    assert accepted == {
+        (name, flag)
+        for name, (_, flags) in SUBCOMMAND_FLAGS.items()
+        for flag in flags
+    }
+    assert len(accepted) == 9
+
+
+def test_unread_flag_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "map", "phi", "4132", "--output", "json")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --output json" in err
+
+
 def test_verify_pass(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "table-1", "remark-3.7-negative", "--max-n", "4"
@@ -181,7 +227,8 @@ def test_verify_contains_a_failing_check(capsys, monkeypatch):
     assert code == 1
     first, second = (json.loads(line) for line in out.splitlines())
     assert first["check_id"] == "thm-1.4" and not first["passed"]
-    assert "n=1: RuntimeError: injected" in first["witnesses"]
+    assert first["witnesses"][0].startswith("n=1: RuntimeError: injected (at ")
+    assert first["witnesses"][0].endswith(" in boom)")
     assert second["check_id"] == "table-1" and second["passed"]
 
 

@@ -1,15 +1,18 @@
 """Design guards: S_n is enumerated only through perm.words, the
 enumeration ceiling is defined only as perm.MAX_N, every check is a
-declared per-n claim whose n loop lives in checks.run_check alone, and the
-rules of the D~, E and R0 families are written only in families."""
+declared per-n claim whose n loop lives in checks.run_check alone, the
+rules of the D~, E and R0 families are written only in families, and the
+benchmark's tracer still finds every name it rebinds."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import eulerian_gamma
 from eulerian_gamma.perm import MAX_N
 
 PACKAGE = Path(eulerian_gamma.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _modules():
@@ -117,3 +120,38 @@ def test_family_rules_live_in_families():
                 offenders.append(f"{path.name}:{node.lineno} ({family})")
     assert not offenders, (
         f"use the families index functions instead of restating: {offenders}")
+
+
+def _bindings(mods: dict) -> dict:
+    """Every module-level name, the MPoly and TruncatedSeries attributes,
+    and cli's gamma dispatch table, by identity of the bound object."""
+    out = {}
+    for name, mod in mods.items():
+        out.update({(name, k): v for k, v in vars(mod).items()})
+    for cls in (mods["mpoly"].MPoly, mods["series"].TruncatedSeries):
+        out.update({(cls.__name__, k): v for k, v in vars(cls).items()})
+    table = mods["cli"]._GAMMA_FAMILIES
+    out.update({("_GAMMA_FAMILIES", k): v for k, v in table.items()})
+    return out
+
+
+def test_benchmark_tracer_installs_and_restores(monkeypatch):
+    """perfbench/tracing.py rebinds kernels, accumulators and methods by
+    name; a renamed or deleted one fails here, not in a traced run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    mods = {m: importlib.import_module(f"eulerian_gamma.{m}") for m in tracing.LAYERS}
+    rixfact = mods["rixfact"]
+    before = _bindings(mods)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert rixfact.rix is not before[("rixfact", "rix")]
+        assert rixfact.rix((2, 1, 3)) == 1
+        assert tracer.counts["rixfact.rix"] == 1
+    finally:
+        tracer.uninstall()
+    after = _bindings(mods)
+    changed = sorted(str(key) for key in before
+                     if after.get(key) is not before[key])
+    assert not changed, f"not restored by Tracer.uninstall(): {changed}"
