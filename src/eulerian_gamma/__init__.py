@@ -16,7 +16,6 @@ from .mpoly import (
     MPoly,
     gamma_extract,
     q_binomial,
-    q_factorial,
 )
 from .perm import StatisticBundle, parse_permutation, statistics
 from .series import TruncatedSeries
@@ -29,13 +28,10 @@ from .actions import (
     orbit,
     restricted_mfs,
     restricted_mfs_single,
-    x_factorization,
 )
 from .bijections import f_inv, f_map, lyc, phi, phi_inv, scf
 from .families import (
-    Membership,
     basic_eulerian,
-    classify,
     cyc_gamma,
     gamma_basic,
     gamma_derangement,
@@ -57,10 +53,7 @@ __all__ = [
     "MPoly",
     "gamma_extract",
     "q_binomial",
-    "q_factorial",
-    "Membership",
     "StatisticBundle",
-    "classify",
     "parse_permutation",
     "statistics",
     "TruncatedSeries",
@@ -75,7 +68,6 @@ __all__ = [
     "orbit",
     "restricted_mfs",
     "restricted_mfs_single",
-    "x_factorization",
     "f_inv",
     "f_map",
     "lyc",

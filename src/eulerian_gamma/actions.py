@@ -37,13 +37,6 @@ def _hop(w: WordT, lo: int, pos: int, hi: int) -> WordT:
     return w[:lo] + w[pos + 1: hi] + w[pos: pos + 1] + w[lo:pos] + w[hi:]
 
 
-def x_factorization(w: WordT, x: int) -> tuple[WordT, WordT, WordT, WordT]:
-    """sigma = w1 w2 x w3 w4 with w2 (w3) the maximal contiguous block
-    immediately left (right) of x whose letters are all smaller than x."""
-    lo, pos, hi = _x_blocks(w, x)
-    return w[:lo], w[lo:pos], w[pos + 1: hi], w[hi:]
-
-
 def foata_strehl(w: WordT, x: int) -> WordT:
     """phi_x: swap the two small-letter blocks adjacent to x."""
     return _hop(w, *_x_blocks(w, x))
@@ -64,14 +57,17 @@ def mfs(w: WordT, labels: Iterable[int]) -> WordT:
     return w
 
 
+def _frozen(w: WordT) -> frozenset[int]:
+    """The letters phi_x'' never moves: beta1 and the rixed points."""
+    fact = rixfact.rix_factorize(w)
+    return fact.rix_set | {fact.beta1}
+
+
 def restricted_mfs_single(w: WordT, x: int) -> WordT:
     """phi_x'': like phi_x' but beta1 and all rixed points are frozen."""
     if not 1 <= x <= len(w):
         raise LabelOutOfRange(f"label {x} not in 1..{len(w)}")
-    fact = rixfact.rix_factorize(w)
-    if x == fact.beta1 or x in fact.rix_set:
-        return w
-    return mfs_single(w, x)
+    return w if x in _frozen(w) else mfs_single(w, x)
 
 
 def restricted_mfs(w: WordT, labels: Iterable[int]) -> WordT:
@@ -80,19 +76,26 @@ def restricted_mfs(w: WordT, labels: Iterable[int]) -> WordT:
     return w
 
 
-_SINGLE = {"mfs": mfs_single, "restricted": restricted_mfs_single}
+def _mfs_hops(w: WordT) -> list[WordT]:
+    return [mfs_single(w, x) for x in range(1, len(w) + 1)]
+
+
+def restricted_hops(w: WordT) -> list[WordT]:
+    """[phi_1''(w), ..., phi_n''(w)], from one factorization of w."""
+    frozen = _frozen(w) if w else frozenset()
+    return [w if x in frozen else mfs_single(w, x) for x in range(1, len(w) + 1)]
+
+
+_HOPS = {"mfs": _mfs_hops, "restricted": restricted_hops}
 
 
 def orbit(start: WordT, action: str = "mfs") -> set[WordT]:
     """Closure of {sigma} under all singleton generators (BFS)."""
-    single = _SINGLE[action]
-    n = len(start)
+    hops = _HOPS[action]
     seen = {start}
     frontier = [start]
     while frontier:
-        w = frontier.pop()
-        for x in range(1, n + 1):
-            w2 = single(w, x)
+        for w2 in hops(frontier.pop()):
             if w2 not in seen:
                 seen.add(w2)
                 frontier.append(w2)

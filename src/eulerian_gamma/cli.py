@@ -27,18 +27,14 @@ from .perm import MAX_N, format_word, parse_permutation, shape_counts, statistic
 DEFAULT_MAX_N = 9
 
 
-# The common flags; each subcommand declares the ones it reads.
+# The common flags; each subcommand declares the ones it reads.  --output
+# offers only the formats a subcommand renders, the first one by default.
 _FLAGS = {
     "--max-n": dict(
         type=int,
         default=None,
         help=f"enumeration ceiling (1..{MAX_N}, default {DEFAULT_MAX_N} "
         "or EULERIAN_GAMMA_MAX_N)",
-    ),
-    "--output": dict(
-        choices=("json", "tsv", "text"),
-        default="text",
-        help="output format (default text)",
     ),
     "--threads": dict(
         type=int,
@@ -59,21 +55,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, summary, *flags):
+    def command(name, handler, summary, *flags, outputs=()):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
+        if outputs:
+            p.add_argument("--output", choices=outputs, default=outputs[0],
+                           help=f"output format (default {outputs[0]})")
         return p
 
     p_stats = command(
-        "stats", cmd_stats, "all statistics of one permutation", "--output"
+        "stats", cmd_stats, "all statistics of one permutation",
+        outputs=("text", "json", "tsv"),
     )
     p_stats.add_argument("perm")
 
     p_gamma = command(
         "gamma", cmd_gamma, "gamma coefficient table",
-        "--max-n", "--output", "--group-by-t",
+        "--max-n", "--group-by-t", outputs=("text", "json", "tsv"),
     )
     p_gamma.add_argument(
         "family", choices=("basic", "derangement", "cyc", "sw3")
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = command(
         "verify", cmd_verify, "run verification checks",
-        "--max-n", "--output", "--threads",
+        "--max-n", "--threads", outputs=("json", "tsv"),
     )
     p_verify.add_argument(
         "check_ids",
@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("perm")
 
     p_orbit = command(
-        "orbit", cmd_orbit, "valley-hopping orbit", "--max-n", "--output"
+        "orbit", cmd_orbit, "valley-hopping orbit", "--max-n",
+        outputs=("text", "json"),
     )
     p_orbit.add_argument("perm")
     p_orbit.add_argument(

@@ -11,14 +11,15 @@ None for a word outside the family:
 - e_index: E_{n,k}, derangements with no cyclic double ascent, k = exc;
 - r0_index: R0_{n,k}, one double descent and no rixed point, k = des.
 
-`classify` bundles them.  The empty word is in D_{0,0} and E_{0,0}, and is
-an alternating derangement, as in every family polynomial at n = 0.
+The empty word is in D_{0,0} and E_{0,0}, and is an alternating
+derangement, as in every family polynomial at n = 0.
 
 Everything else is a direct sum over permutations, apart from the four
 gamma tables (gamma_basic, gamma_derangement, cyc_gamma, sw3_gamma): each
 extracts gamma coefficients from a family polynomial with
-mpoly.gamma_extract, and the first three raise MismatchAgainstDirect
-unless the result equals the direct sums of their k-table.  The other
+mpoly.gamma_extract and raises MismatchAgainstDirect unless the result
+equals the direct sums of a k-table (for sw3_gamma, its p = 1
+specialization against dd_free_ascent_inv_table).  The other
 structured routes (recurrences, series, bijections) live in checks.py, so
 the two sides stay independent.
 Each family is a filter on S_n plus a key: the key maps a word to its
@@ -30,7 +31,6 @@ call time, so rebinding a kernel reaches every family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import rixfact
@@ -75,33 +75,6 @@ def e_index(w: WordT) -> int | None:
 def r0_index(w: WordT) -> int | None:
     """k for w in R0_{n,k} (dd = 1, rix = 0, des = k), else None."""
     return des(w) if dd_count(w) == 1 and rixfact.rix(w) == 0 else None
-
-
-@dataclass(frozen=True)
-class Membership:
-    """Membership record in the four permutation families plus extras.
-
-    The k index is the defining index of each family (see the index
-    functions); it is None when the permutation is not a member.
-    """
-
-    d_k: int | None
-    d_tilde_k: int | None
-    e_k: int | None
-    r0_k: int | None
-    alternating: bool
-    derangement: bool
-
-
-def classify(w: WordT) -> Membership:
-    return Membership(
-        d_k=d_index(w),
-        d_tilde_k=d_tilde_index(w),
-        e_k=e_index(w),
-        r0_k=r0_index(w),
-        alternating=is_alternating(w),
-        derangement=is_derangement(w),
-    )
 
 
 # --- counting ---------------------------------------------------------------
@@ -306,8 +279,14 @@ def sw3_gamma(n: int) -> GammaExpansion:
 
     Center n: the p-refined polynomial is symmetric about n/2 (like the
     p = 1 specialization), so the k indices line up with the derangement
-    gamma coefficients gamma~_{n,k}(q) at p = 1.
+    gamma coefficients gamma~_{n,k}(q) at p = 1, which are cross-checked
+    against the direct sums over dd-free final-ascent permutations.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    return gamma_extract(derangement_exc_des_maj_poly(n), center=n)
+    expansion = gamma_extract(derangement_exc_des_maj_poly(n), center=n)
+    at_p_one = GammaExpansion(
+        n, tuple(g.substitute("p", 1) for g in expansion.gammas))
+    _compare_expansion(
+        at_p_one, dd_free_ascent_inv_table(n), f"sw3_gamma({n}) at p=1")
+    return expansion

@@ -214,17 +214,7 @@ def _coerce(x: "MPoly | int") -> MPoly:
 ONE = MPoly.const(1)
 
 
-# --- q-factorials and q-binomials ----------------------------------------
-
-@lru_cache(maxsize=None)
-def q_factorial(n: int) -> MPoly:
-    """The shifted q-factorial (q;q)_n = prod_{i=1..n} (1 - q^i)."""
-    if n < 0:
-        raise OutOfRange("n must be nonnegative")
-    if n == 0:
-        return ONE
-    return q_factorial(n - 1) * (ONE - MPoly.var("q", n))
-
+# --- q-binomials ----------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def q_binomial(n: int, k: int) -> MPoly:
@@ -258,9 +248,6 @@ class GammaExpansion:
 
     center: int
     gammas: tuple[MPoly, ...]
-
-    def reconstruct(self) -> MPoly:
-        return gamma_sum(dict(enumerate(self.gammas)), self.center)
 
     def at_q_one(self) -> tuple[int, ...]:
         """Each gamma specialized at q=1 (must be constant in the rest)."""

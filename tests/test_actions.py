@@ -6,14 +6,15 @@ import itertools
 import pytest
 
 from eulerian_gamma.actions import (
+    _x_blocks,
     canonical_rep,
     foata_strehl,
     mfs,
     mfs_single,
     orbit,
+    restricted_hops,
     restricted_mfs,
     restricted_mfs_single,
-    x_factorization,
 )
 from eulerian_gamma.errors import LabelOutOfRange, NotInDomain
 from eulerian_gamma.perm import dd_count, des, shape_counts
@@ -22,13 +23,15 @@ from eulerian_gamma.rixfact import rix, rix_factorize
 
 def test_x_factorization_worked_example():
     w = (2, 7, 4, 3, 1, 5, 6)
-    assert x_factorization(w, 4) == ((2, 7), (), (3, 1), (5, 6))
+    lo, pos, hi = _x_blocks(w, 4)  # sigma = w1 w2 x w3 w4
+    assert (w[:lo], w[lo:pos], w[pos + 1: hi], w[hi:]) == (
+        (2, 7), (), (3, 1), (5, 6))
     assert foata_strehl(w, 4) == (2, 7, 3, 1, 4, 5, 6)
 
 
 def test_x_factorization_label_range():
     with pytest.raises(LabelOutOfRange):
-        x_factorization((2, 1, 3), 4)
+        foata_strehl((2, 1, 3), 4)
     with pytest.raises(LabelOutOfRange):
         mfs_single((2, 1, 3), 0)
 
@@ -73,12 +76,15 @@ def test_restricted_action_involution_and_commutation():
 
 
 def test_restricted_action_freezes_beta1_and_rixed_points():
+    assert restricted_hops(()) == []
     for n in range(1, 7):
         for w in itertools.permutations(range(1, n + 1)):
             fact = rix_factorize(w)
             assert restricted_mfs_single(w, fact.beta1) == w
             for x in fact.rix_set:
                 assert restricted_mfs_single(w, x) == w
+            assert restricted_hops(w) == [
+                restricted_mfs_single(w, x) for x in range(1, n + 1)]
 
 
 def test_set_action_matches_composition():

@@ -85,6 +85,24 @@ def test_gamma_cyc_table_renders_b(capsys):
     assert lines[2] == "k=2  gamma=2b+3b^2"
 
 
+def test_gamma_sw3_cross_check_failure_exits_1(capsys, monkeypatch):
+    from eulerian_gamma import families
+    from eulerian_gamma.mpoly import MPoly, gamma_sum
+
+    true_poly = families.derangement_exc_des_maj_poly
+    wrong_gamma_1 = MPoly.var("p") * MPoly.var("q")  # still expandable
+    monkeypatch.setattr(families, "derangement_exc_des_maj_poly",
+                        lambda n: true_poly(n) + gamma_sum({1: wrong_gamma_1}, n))
+    code, out, err = run_cli(capsys, "gamma", "sw3", "4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal cross-check failed: sw3_gamma(4) at p=1: k=1: ")
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "gamma", "sw3", "4")
+    assert code == 0
+    assert out.splitlines()[0] == "k=0  gamma=0"
+
+
 def test_gamma_json(capsys):
     code, out, _ = run_cli(capsys, "gamma", "basic", "3", "--output", "json")
     assert code == 0
@@ -166,6 +184,22 @@ def test_unread_flag_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments: --output json" in err
+
+
+def test_output_offers_only_the_formats_rendered(capsys):
+    for argv in (["orbit", "4132", "--output", "tsv"],
+                 ["verify", "table-1", "--output", "text"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "argument --output: invalid choice" in err
+    code, out, _ = run_cli(capsys, "orbit", "4132", "--output", "json")
+    assert code == 0
+    assert json.loads(out) == ["1324", "4132"]
+    code, out, _ = run_cli(capsys, "verify", "table-1", "--max-n", "4",
+                           "--output", "tsv")
+    assert code == 0
+    assert out.startswith("table-1\tpass\t1..4\t")
 
 
 def test_verify_pass(capsys):

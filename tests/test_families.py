@@ -7,12 +7,10 @@ import pytest
 
 from eulerian_gamma.errors import MismatchAgainstDirect, NotExpandable
 from eulerian_gamma.families import (
-    Membership,
     alternating_inv_poly,
     basic_eulerian,
     basic_eulerian_desrix,
     cda_free_derangement_cyc_table,
-    classify,
     cyc_gamma,
     d_index,
     d_tilde_index,
@@ -30,7 +28,7 @@ from eulerian_gamma.families import (
     sw3_gamma,
 )
 from eulerian_gamma.mpoly import MPoly, ONE
-from eulerian_gamma.perm import words
+from eulerian_gamma.perm import is_alternating, is_derangement, words
 from eulerian_gamma.rixfact import rixed_points
 
 t = MPoly.var("t")
@@ -210,23 +208,20 @@ def test_index_functions_match_literal_definitions():
 def test_classify_counts_as_the_family_polynomials():
     """n = 0 included: the empty word is in D_{0,0} and E_{0,0} and is an
     alternating derangement, as every family polynomial counts it."""
-    assert classify(()) == Membership(
-        d_k=0, d_tilde_k=None, e_k=0, r0_k=None,
-        alternating=True, derangement=True,
-    )
+    empty = ()
+    assert (d_index(empty), d_tilde_index(empty), e_index(empty),
+            r0_index(empty)) == (0, None, 0, None)
+    assert is_alternating(empty) and is_derangement(empty)
     for n in range(6):
-        members = [classify(w) for w in words(n)]
+        ws = list(words(n))
 
-        def count(field):
-            return Counter(
-                getattr(m, field) for m in members
-                if getattr(m, field) is not None
-            )
+        def count(index):
+            return Counter(k for k in map(index, ws) if k is not None)
 
-        assert sizes(dd_free_inv_table(n)) == count("d_k")
-        assert sizes(dd_free_ascent_inv_table(n)) == count("d_tilde_k")
-        assert sizes(cda_free_derangement_cyc_table(n)) == count("e_k")
+        assert sizes(dd_free_inv_table(n)) == count(d_index)
+        assert sizes(dd_free_ascent_inv_table(n)) == count(d_tilde_index)
+        assert sizes(cda_free_derangement_cyc_table(n)) == count(e_index)
         assert alternating_inv_poly(n).substitute("q", 1) == sum(
-            m.alternating for m in members)
+            map(is_alternating, ws))
         assert sum(derangement_exc_des_maj_poly(n).terms.values()) == sum(
-            m.derangement for m in members)
+            map(is_derangement, ws))

@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from eulerian_gamma.errors import BudgetExceeded, NotABijection
-from eulerian_gamma.families import classify
+from eulerian_gamma.families import d_index, d_tilde_index, e_index, r0_index
 from eulerian_gamma.perm import (
     admissible_inversion_count,
     cda_count,
@@ -171,17 +171,15 @@ def test_statistics_trivial_permutation():
 
 
 def test_classify():
-    m = classify((1, 3, 2, 4))
-    assert m.d_k == 1
-    assert m.d_tilde_k == 2
-    assert m.e_k is None
-    assert m.r0_k is None
-    m = classify((4, 1, 3, 2))
-    assert m.d_k is None
-    assert m.r0_k == 2
-    m = classify((2, 1, 4, 3))
-    assert m.derangement
-    assert m.e_k == 2
+    w = (1, 3, 2, 4)
+    assert (d_index(w), d_tilde_index(w), e_index(w), r0_index(w)) == (
+        1, 2, None, None)
+    w = (4, 1, 3, 2)
+    assert d_index(w) is None
+    assert r0_index(w) == 2
+    w = (2, 1, 4, 3)
+    assert is_derangement(w)
+    assert e_index(w) == 2
 
 
 def test_enumeration_budget():

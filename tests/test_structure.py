@@ -1,8 +1,9 @@
 """Design guards: S_n is enumerated only through perm.words, the
 enumeration ceiling is defined only as perm.MAX_N, every check is a
 declared per-n claim whose n loop lives in checks.run_check alone, the
-rules of the D~, E and R0 families are written only in families, and the
-benchmark's tracer still finds every name it rebinds."""
+rules of the D~, E and R0 families are written only in families, prop-3.4's
+enumerated side uses nothing from rixfact, and the benchmark's tracer still
+finds every name it rebinds."""
 
 import ast
 import importlib
@@ -120,6 +121,47 @@ def test_family_rules_live_in_families():
                 offenders.append(f"{path.name}:{node.lineno} ({family})")
     assert not offenders, (
         f"use the families index functions instead of restating: {offenders}")
+
+
+def _rixfact_references(tree: ast.Module, function: str) -> list[str]:
+    """Uses of rixfact, or of a name rixfact.py defines, in the checks.py
+    function `function` and in every module function it calls by name."""
+    rixfact_tree = ast.parse((PACKAGE / "rixfact.py").read_text(encoding="utf-8"))
+    banned = {"rixfact"}
+    for node in rixfact_tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            banned.add(node.name)
+        elif isinstance(node, ast.Assign):
+            banned.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found, seen, todo = [], set(), [function]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            ident = (node.id if isinstance(node, ast.Name)
+                     else node.attr if isinstance(node, ast.Attribute) else None)
+            if ident in banned:
+                found.append(f"{name}:{node.lineno} {ident}")
+            elif ident in defs:
+                todo.append(ident)
+    return found
+
+
+def test_prop_3_4_enumerated_side_is_independent_of_rixfact():
+    """prop-3.4 compares rix_factorize with a search over all valid cuts;
+    a search that used rixfact could share its bug."""
+    tree = ast.parse((PACKAGE / "checks.py").read_text(encoding="utf-8"))
+    found = _rixfact_references(tree, "_valid_factorizations")
+    assert not found, f"prop-3.4's search must not use rixfact: {found}"
+    # the guard fails on a copy of the search that calls rix_factorize
+    search = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_valid_factorizations")
+    search.body.insert(0, ast.parse("rixfact.rix_factorize(w)").body[0])
+    assert _rixfact_references(tree, "_valid_factorizations")
 
 
 def _bindings(mods: dict) -> dict:
