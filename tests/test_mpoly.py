@@ -85,9 +85,13 @@ def _q_factorial(n: int) -> MPoly:
     return out
 
 
-def test_q_binomial_ratio_of_factorials():
+def test_q_factorial():
     assert _q_factorial(0) == ONE
+    assert _q_factorial(1) == ONE - q
     assert _q_factorial(2) == (ONE - q) * (ONE - q**2)
+
+
+def test_q_binomial_ratio_of_factorials():
     for n in range(7):
         for k in range(n + 1):
             assert (
