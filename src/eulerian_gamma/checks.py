@@ -17,10 +17,17 @@ report's witnesses are empty exactly when the check passed.
 
 A per-word claim computes each per-word value once per word: thm-1.4
 holds canonical_rep and lemma-2.1 holds admissible_inversion_count in a
-dict over words(n), and lemma-4.1 takes the n restricted hops of a word
-from one factorization (actions.restricted_hops).  prop-3.4's enumerated
-side is a pruned left-to-right search over cut positions with the same
-side conditions, and it stays independent of rixfact.
+dict over words(n).  lemma-4.1 holds each word's (beta1, RIX), factor type
+and lyc in one dict, interned so the words of an orbit share one tuple,
+reads a hop image's values there, and takes the n restricted hops of a
+word from one factorization (actions.restricted_hops).  prop-3.5 records
+the preimage of each phi image and compares phi_inv with it, so phi and
+phi_inv run once per word; f-bijection records f_map of each R0 word and
+f_inv of each D~ word and compares its round trips the same way.
+
+prop-3.4's enumerated side is a pruned left-to-right search over cut
+positions with the same side conditions, and it stays independent of
+rixfact.
 """
 
 from __future__ import annotations
@@ -256,77 +263,95 @@ def _prop_3_4(n: int):
 
 
 def _prop_3_5(n: int):
-    images = set()
+    """phi carries des to exc, RIX to FIX and R0 into E, and phi_inv is its
+    inverse.  phi_inv(w) equals the recorded preimage of every w in S_n,
+    with n! distinct images, exactly when both round trips hold."""
+    preimage = {}
     r0_sizes: Counter = Counter()
     for w in words(n):
         image = bijections.phi(w)
-        images.add(image)
+        preimage[image] = w
         if des(w) != exc_count(image):
             yield f"n={n}: des/exc mismatch on {w}"
         if rixfact.rixed_points(w) != fix_set(image):
             yield f"n={n}: RIX/FIX mismatch on {w}"
-        if bijections.phi_inv(image) != w:
-            yield f"n={n}: phi_inv(phi({w})) != {w}"
-        if bijections.phi(bijections.phi_inv(w)) != w:
-            yield f"n={n}: phi(phi_inv({w})) != {w}"
         k = families.r0_index(w)
         if k is not None:
             r0_sizes[k] += 1
             if families.e_index(image) is None:
                 yield f"n={n}: phi({w}) not in E family"
+    for w in words(n):
+        back = bijections.phi_inv(w)
+        if back != preimage.get(w):
+            yield f"n={n}: phi_inv({w}) = {back}, phi^-1({w}) = {preimage.get(w)}"
     e_sizes = families.sizes(families.cda_free_derangement_cyc_table(n))
-    if len(images) != factorial(n) or r0_sizes != e_sizes:
+    if len(preimage) != factorial(n) or r0_sizes != e_sizes:
         yield f"n={n}: |R0_nk| != |E_nk| ({dict(r0_sizes)} vs {e_sizes})"
 
 
 def _f_bijection(n: int):
-    d_tilde_sizes: Counter = Counter()
+    """f sends R0_{n,k} to D~_{n,k}, ending with beta1, and f_inv is its
+    inverse; the round trips read the recorded images."""
+    d_tilde, r0 = {}, {}
     for w in words(n):
         k = families.d_tilde_index(w)
         if k is not None:
-            d_tilde_sizes[k] += 1
-            back = bijections.f_inv(w)
-            j = families.r0_index(back)
-            if j is None:
-                yield f"n={n}: f_inv({w}) not in R0"
-            elif j != k:
-                yield f"n={n}: f_inv({w}) changes k"
-            elif bijections.f_map(back) != w:
-                yield f"n={n}: f(f_inv({w})) != {w}"
+            d_tilde[w] = k
             continue  # dd = 0, so w is not in R0
         k = families.r0_index(w)
-        if k is None:
-            continue
-        img = bijections.f_map(w)
-        beta1 = rixfact.rix_factorize(w).beta1
-        j = families.d_tilde_index(img)
-        if img[-1] != beta1:
+        if k is not None:
+            r0[w] = k
+    back = {w: bijections.f_inv(w) for w in d_tilde}
+    image = {w: bijections.f_map(w) for w in r0}
+    for w, k in d_tilde.items():
+        j = r0.get(back[w])
+        if j is None:
+            yield f"n={n}: f_inv({w}) not in R0"
+        elif j != k:
+            yield f"n={n}: f_inv({w}) changes k"
+        elif image[back[w]] != w:
+            yield f"n={n}: f(f_inv({w})) != {w}"
+    for w, k in r0.items():
+        img = image[w]
+        j = d_tilde.get(img)
+        if img[-1] != rixfact.rix_factorize(w).beta1:
             yield f"n={n}: f({w}) does not end with beta1"
         elif j is None:
             yield f"n={n}: f({w}) not in D~ family"
         elif j != k:
             yield f"n={n}: f({w}) changes k"
-        elif bijections.f_inv(img) != w:
+        elif back[img] != w:
             yield f"n={n}: f_inv(f({w})) != {w}"
+    d_tilde_sizes = dict(Counter(d_tilde.values()))
     e_sizes = families.sizes(families.cda_free_derangement_cyc_table(n))
     if d_tilde_sizes != e_sizes:
-        yield f"n={n}: |D~_nk| != |E_nk| ({dict(d_tilde_sizes)} vs {e_sizes})"
+        yield f"n={n}: |D~_nk| != |E_nk| ({d_tilde_sizes} vs {e_sizes})"
 
 
 def _lemma_4_1(n: int):
+    """A restricted hop keeps (beta1, RIX), the factor type and lyc.  Each
+    word's four values are computed once and interned, so the words of one
+    orbit share one tuple and a hop image is looked up, not recomputed."""
+    shared: dict = {}
+    invariants = {}
     for w in words(n):
         fact = rixfact.rix_factorize(w)
-        ref_lyc = bijections.lyc(w)
-        ref_type = [sorted(f) for f in (*fact.alphas, fact.beta)]
+        key = (
+            (fact.beta1, fact.rix_set),
+            tuple(tuple(sorted(f)) for f in (*fact.alphas, fact.beta)),
+            bijections.lyc(w),
+        )
+        invariants[w] = shared.setdefault(key, key)
+    for w, (ref_rix, ref_type, ref_lyc) in invariants.items():
         for x, w2 in enumerate(actions.restricted_hops(w), start=1):
             if w2 == w:
                 continue
-            fact2 = rixfact.rix_factorize(w2)
-            if fact2.beta1 != fact.beta1 or fact2.rix_set != fact.rix_set:
+            rix2, type2, lyc2 = invariants[w2]
+            if rix2 != ref_rix:
                 yield f"n={n}: beta1/RIX changed by {x} on {w}"
-            if [sorted(f) for f in (*fact2.alphas, fact2.beta)] != ref_type:
+            if type2 != ref_type:
                 yield f"n={n}: factor type changed by {x} on {w}"
-            if bijections.lyc(w2) != ref_lyc:
+            if lyc2 != ref_lyc:
                 yield f"n={n}: lyc changed by {x} on {w}"
 
 

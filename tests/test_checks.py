@@ -1,10 +1,13 @@
 """The verification registry: every check runs and passes at a small
 ceiling, reports serialize to the documented schema, and the runner caps
-witnesses and turns an exception in a claim into a failed report."""
+witnesses and turns an exception in a claim into a failed report.  The
+orbit and bijection checks run each kernel once per word."""
+
+from math import factorial
 
 import pytest
 
-from eulerian_gamma import checks, families
+from eulerian_gamma import bijections, checks, families
 from eulerian_gamma.checks import CHECKS, WITNESS_CAP, run_check, run_checks
 
 EXPECTED_IDS = {
@@ -84,3 +87,38 @@ def test_witnesses_are_capped(monkeypatch):
     assert len(report.witnesses) == WITNESS_CAP + 1
     assert report.witnesses[-1].startswith("stopped at n=")
     assert report.witnesses[-1].endswith(f"after {WITNESS_CAP} witnesses")
+
+
+def _count_calls(module, names, check_id, n):
+    """Run one check's claim at size n with module.<name> wrapped to count
+    its calls; the bindings are restored however the claim ends."""
+    counts = dict.fromkeys(names, 0)
+    originals = {name: getattr(module, name) for name in names}
+
+    def counting(name):
+        def wrapper(*args):
+            counts[name] += 1
+            return originals[name](*args)
+        return wrapper
+
+    try:
+        for name in names:
+            setattr(module, name, counting(name))
+        assert list(CHECKS[check_id].claim(n)) == []
+    finally:
+        for name, original in originals.items():
+            setattr(module, name, original)
+    return counts
+
+
+def test_orbit_and_bijection_checks_run_each_kernel_once_per_word():
+    n = 6
+    assert _count_calls(bijections, ["phi", "phi_inv"], "prop-3.5", n) == {
+        "phi": factorial(n), "phi_inv": factorial(n),
+    }
+    assert _count_calls(bijections, ["lyc"], "lemma-4.1", n) == {"lyc": factorial(n)}
+    # f_map once per R0 word and f_inv once per D~ word: |R0_n| = |D~_n| = |E_n|
+    domain = sum(families.sizes(families.cda_free_derangement_cyc_table(n)).values())
+    assert _count_calls(bijections, ["f_map", "f_inv"], "f-bijection", n) == {
+        "f_map": domain, "f_inv": domain,
+    }
