@@ -19,66 +19,61 @@ CycleT = tuple[int, ...]
 
 def scf(w: WordT) -> tuple[CycleT, ...]:
     """Standard cycle form: every cycle max-first; long cycles by
-    decreasing maximum; fixed points last, increasing."""
-    n = len(w)
-    seen = [False] * (n + 1)
+    decreasing maximum; fixed points last, increasing.
+
+    The cycles are walked from the largest unseen letter down, so each is
+    met at its maximum and in decreasing order of maxima.
+    """
+    seen = [False] * (len(w) + 1)
     long_cycles = []
     fixed = []
-    for start in range(1, n + 1):
-        if seen[start]:
+    for top in range(len(w), 0, -1):
+        if seen[top]:
             continue
-        cycle = []
-        j = start
+        j = w[top - 1]
+        if j == top:
+            fixed.append((top,))
+            continue
+        cycle = [top]
+        seen[top] = True  # stops the walk on any word, not only on S_n
         while not seen[j]:
             seen[j] = True
             cycle.append(j)
             j = w[j - 1]
-        if len(cycle) == 1:
-            fixed.append((cycle[0],))
-        else:
-            m = cycle.index(max(cycle))
-            long_cycles.append(tuple(cycle[m:] + cycle[:m]))
-    long_cycles.sort(key=lambda c: -c[0])
-    fixed.sort()
-    return tuple(long_cycles) + tuple(fixed)
-
-
-def word_from_cycles(cycles: Sequence[CycleT], n: int) -> WordT:
-    out = [0] * n
-    for cycle in cycles:
-        m = len(cycle)
-        for i, c in enumerate(cycle):
-            out[c - 1] = cycle[(i + 1) % m]
-    return tuple(out)
+        long_cycles.append(tuple(cycle))
+    fixed.reverse()
+    return (*long_cycles, *fixed)
 
 
 def format_scf(cycles: Sequence[CycleT]) -> str:
     return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles)
 
 
-def _hook_cycle(word: WordT) -> CycleT:
-    kind = rixfact.hook_kind(word)
-    if kind == rixfact.L_HOOK:
-        return tuple(reversed(word))
-    return (word[0],) + tuple(reversed(word[1:]))
-
-
 def phi(w: WordT) -> WordT:
-    """des(sigma) = exc(phi(sigma)) and RIX(sigma) = FIX(phi(sigma))."""
+    """des(sigma) = exc(phi(sigma)) and RIX(sigma) = FIX(phi(sigma)).
+
+    Each factor a_1 ... a_k (every alpha, and beta without its rixed
+    points) becomes the cycle a_1 -> a_k -> a_(k-1) -> ... -> a_1, the same
+    cycle whether the factor is an L-hook or an F-hook; the rixed points
+    become fixed points.  The image is filled in straight from the factors.
+    """
     n = len(w)
     if n == 0:
         return ()
     fact = rixfact.rix_factorize(w)
-    rixed = sorted(fact.rix_set)
-    # rixed points form an increasing suffix of beta
-    k = len(fact.beta) - len(rixed)
-    assert list(fact.beta[k:]) == rixed, "rixed points must be the beta suffix"
-    beta_rest = fact.beta[:k]
-    cycles = [_hook_cycle(a) for a in fact.alphas]
-    if beta_rest:
-        cycles.append(_hook_cycle(beta_rest))
-    cycles.extend((v,) for v in rixed)
-    return word_from_cycles(cycles, n)
+    rixed = fact.rix_set
+    beta = fact.beta
+    k = len(beta) - len(rixed)
+    assert sorted(rixed) == list(beta[k:]), "rixed points must be the beta suffix"
+    out = [0] * n
+    for factor in (*fact.alphas, beta[:k]) if k else fact.alphas:
+        prev = factor[-1]
+        for v in factor:
+            out[v - 1] = prev
+            prev = v
+    for v in beta[k:]:
+        out[v - 1] = v
+    return tuple(out)
 
 
 def phi_inv(w: WordT) -> WordT:
@@ -88,7 +83,7 @@ def phi_inv(w: WordT) -> WordT:
     cycles = scf(w)
     long_cycles = [c for c in cycles if len(c) >= 2]
     fixed = [c[0] for c in cycles if len(c) == 1]
-    parts: list[WordT] = []
+    out: list[int] = []
     for idx, cycle in enumerate(long_cycles):
         last = idx == len(long_cycles) - 1
         # The last long cycle is the image of the final factor beta' (an
@@ -96,13 +91,12 @@ def phi_inv(w: WordT) -> WordT:
         # case beta consisted of rixed points only and all cycles are
         # L-hook images.  With no fixed points beta' is always the F-hook.
         if last and (not fixed or fixed[0] > cycle[0]):
-            parts.append((cycle[0],) + tuple(reversed(cycle[1:])))
+            out.append(cycle[0])
+            out.extend(cycle[:0:-1])
         else:
-            parts.append(tuple(reversed(cycle)))
-    out: tuple[int, ...] = ()
-    for part in parts:
-        out += part
-    return out + tuple(fixed)
+            out.extend(cycle[::-1])
+    out.extend(fixed)
+    return tuple(out)
 
 
 def lyc(w: WordT) -> int:

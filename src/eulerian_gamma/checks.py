@@ -20,10 +20,10 @@ holds canonical_rep and lemma-2.1 holds admissible_inversion_count in a
 dict over words(n).  lemma-4.1 holds each word's (beta1, RIX), factor type
 and lyc in one dict, interned so the words of an orbit share one tuple,
 reads a hop image's values there, and takes the n restricted hops of a
-word from one factorization (actions.restricted_hops).  prop-3.5 records
-the preimage of each phi image and compares phi_inv with it, so phi and
-phi_inv run once per word; f-bijection records f_map of each R0 word and
-f_inv of each D~ word and compares its round trips the same way.
+word from one factorization (actions.restricted_hops).  prop-3.5 runs phi
+and phi_inv once per word and keeps only the set of images; f-bijection
+records f_map of each R0 word and f_inv of each D~ word and compares its
+round trips through the recorded images.
 
 prop-3.4's enumerated side is a pruned left-to-right search over cut
 positions with the same side conditions, and it stays independent of
@@ -264,13 +264,20 @@ def _prop_3_4(n: int):
 
 def _prop_3_5(n: int):
     """phi carries des to exc, RIX to FIX and R0 into E, and phi_inv is its
-    inverse.  phi_inv(w) equals the recorded preimage of every w in S_n,
-    with n! distinct images, exactly when both round trips hold."""
-    preimage = {}
+    inverse.  Each phi(w) is a word of S_n with phi_inv(phi(w)) == w, and
+    there are n! distinct images, exactly when both round trips hold."""
+    letters = list(range(1, n + 1))
+    images = set()
     r0_sizes: Counter = Counter()
     for w in words(n):
         image = bijections.phi(w)
-        preimage[image] = w
+        if sorted(image) != letters:
+            yield f"n={n}: phi({w}) = {image} is not a word of S_{n}"
+            continue
+        images.add(image)
+        back = bijections.phi_inv(image)
+        if back != w:
+            yield f"n={n}: phi_inv(phi({w})) = {back}"
         if des(w) != exc_count(image):
             yield f"n={n}: des/exc mismatch on {w}"
         if rixfact.rixed_points(w) != fix_set(image):
@@ -280,12 +287,8 @@ def _prop_3_5(n: int):
             r0_sizes[k] += 1
             if families.e_index(image) is None:
                 yield f"n={n}: phi({w}) not in E family"
-    for w in words(n):
-        back = bijections.phi_inv(w)
-        if back != preimage.get(w):
-            yield f"n={n}: phi_inv({w}) = {back}, phi^-1({w}) = {preimage.get(w)}"
     e_sizes = families.sizes(families.cda_free_derangement_cyc_table(n))
-    if len(preimage) != factorial(n) or r0_sizes != e_sizes:
+    if len(images) != factorial(n) or r0_sizes != e_sizes:
         yield f"n={n}: |R0_nk| != |E_nk| ({dict(r0_sizes)} vs {e_sizes})"
 
 

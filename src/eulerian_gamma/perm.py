@@ -149,23 +149,25 @@ def admissible_inversion_count(w: Sequence[int]) -> int:
     """Inversions (w_i, w_j) with a left ascent into w_i or a larger letter
     strictly between them.
 
-    O(n^2): for each i, the pair (w_i, w_j) fails the second condition
-    exactly when j comes before the next letter greater than w_i.
+    O(n^2), one sweep per i: the pair (w_i, w_j) fails the second
+    condition exactly when j comes before the next letter greater than w_i,
+    so the smaller letters are counted from i + 1 after a left ascent and
+    from that next greater letter on otherwise.
     """
     n = len(w)
     if len(set(w)) != n:
         raise ValueError("word letters must be distinct")
     total = 0
+    left = n + 1  # no left ascent into w_1
     for i in range(n):
         wi = w[i]
-        next_greater = n  # first l > i with w_l > w_i, or n
-        for l in range(i + 1, n):
-            if w[l] > wi:
-                next_greater = l
-                break
-        left_ascent = i > 0 and w[i - 1] < wi
-        for j in range(i + 1, n):
-            if w[j] < wi and (left_ascent or next_greater < j):
+        j = i + 1
+        if left > wi:
+            while j < n and w[j] < wi:
+                j += 1
+        left = wi
+        for v in w[j:]:
+            if v < wi:
                 total += 1
     return total
 

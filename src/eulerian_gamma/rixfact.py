@@ -4,11 +4,20 @@ Two independent routes are implemented on purpose: rix() follows the
 recursive definition on the position of the maximum, rix_factorize()
 splits the word at greatest descent tops.  The verification suite insists
 that rix(w) == len(rixed_points(w)) for every permutation.
+
+rix_factorize() does in one pass what the definition does by repeated
+rescans: cutting after the greatest descent top of what is left cuts
+after every descent top larger than all descent tops to its right
+(_cut_positions), until a cut falls at the start of the remaining suffix,
+which is then beta.  RIX is the part of beta's increasing tail from beta1
+up, a slice.  tests/test_kernel_references.py checks it against the
+repeated-rescan definition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
 from .perm import WordT
 
 L_HOOK = "L"
@@ -47,8 +56,7 @@ def hook_kind(w: WordT) -> str:
     raise ValueError(f"{w} is neither an L-hook nor an F-hook")
 
 
-@dataclass(frozen=True)
-class RixFactorization:
+class RixFactorization(NamedTuple):
     alphas: tuple[WordT, ...]
     beta: WordT
     beta_kind: str  # L_HOOK or F_HOOK
@@ -63,13 +71,18 @@ class RixFactorization:
         return out + self.beta
 
 
-def _greatest_descent_top(w: WordT) -> int | None:
-    """Index of the greatest descent top of w, None if w is increasing."""
-    best = None
-    for i in range(len(w) - 1):
-        if w[i] > w[i + 1] and (best is None or w[i] > w[best]):
-            best = i
-    return best
+def _cut_positions(w: WordT) -> list[int]:
+    """Positions, left to right, of the descent tops of w that are larger
+    than every descent top to their right."""
+    cuts = []
+    top = 0
+    for i in range(len(w) - 2, -1, -1):
+        v = w[i]
+        if v > top and v > w[i + 1]:
+            cuts.append(i)
+            top = v
+    cuts.reverse()
+    return cuts
 
 
 def rix_factorize(w: WordT) -> RixFactorization:
@@ -78,28 +91,24 @@ def rix_factorize(w: WordT) -> RixFactorization:
     if not w:
         raise ValueError("rix-factorization requires n >= 1")
     alphas: list[WordT] = []
-    while True:
-        pos = _greatest_descent_top(w)
-        if pos is None or pos == 0:
-            beta = w
+    start = 0
+    for pos in _cut_positions(w):
+        if pos == start:
             break
-        alphas.append(w[: pos + 1])
-        w = w[pos + 1:]
-    assert beta, "beta is never empty for n >= 1"
+        alphas.append(w[start: pos + 1])
+        start = pos + 1
+    beta = w[start:]
     kind = hook_kind(beta)
     beta1 = beta[0]
-    # maximal increasing suffix of beta
-    cut = len(beta) - 1
-    while cut > 0 and beta[cut - 1] < beta[cut]:
+    # RIX: the letters >= beta1 of beta's maximal increasing suffix, which
+    # ends at max(beta) for an L-hook and lies below beta1 for an F-hook
+    cut = len(beta)
+    if kind == L_HOOK:
         cut -= 1
-    rix_set = frozenset(v for v in beta[cut:] if v >= beta1)
-    return RixFactorization(
-        alphas=tuple(alphas),
-        beta=beta,
-        beta_kind=kind,
-        beta1=beta1,
-        rix_set=rix_set,
-    )
+        while cut and beta1 <= beta[cut - 1] < beta[cut]:
+            cut -= 1
+    return RixFactorization(tuple(alphas), beta, kind, beta1,
+                            frozenset(beta[cut:]))
 
 
 def rixed_points(w: WordT) -> frozenset[int]:

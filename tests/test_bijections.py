@@ -12,7 +12,6 @@ from eulerian_gamma.bijections import (
     phi,
     phi_inv,
     scf,
-    word_from_cycles,
 )
 from eulerian_gamma.errors import NotInDomain
 from eulerian_gamma.perm import (
@@ -25,6 +24,7 @@ from eulerian_gamma.perm import (
     is_derangement,
 )
 from eulerian_gamma.rixfact import rix, rixed_points
+from test_kernel_references import word_from_cycles
 
 
 def test_scf_format_example():

@@ -39,9 +39,27 @@ def _ai_plus_one_on_dd(w):
     return perm.admissible_inversion_count(w) + (perm.dd_count(w) > 0)
 
 
-def _first_descent_top(w):
-    """Index of the first descent top (rix_factorize wants the greatest)."""
-    return next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
+def _every_descent_top(w):
+    """Cut positions at every descent top, so the factorization cuts at the
+    first descent top of what is left (it wants the greatest)."""
+    return [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
+
+
+def _phi_beta_rest_reversed(w):
+    """phi walking beta's non-rixed part the wrong way round: each of its
+    letters goes to its right neighbour, the last one to the first."""
+    fact = rixfact.rix_factorize(w)
+    beta = fact.beta
+    k = len(beta) - len(fact.rix_set)
+    out = [0] * len(w)
+    for factor in (*fact.alphas, beta[:k][::-1]) if k else fact.alphas:
+        prev = factor[-1]
+        for v in factor:
+            out[v - 1] = prev
+            prev = v
+    for v in beta[k:]:
+        out[v - 1] = v
+    return tuple(out)
 
 
 def _phi_inv_last_fixed_point(w):
@@ -77,8 +95,9 @@ MUTANTS = [
     ("lemma-4.1", bijections, "lyc", _lyc_plus_one_on_first_ascent),
     ("thm-1.4", actions, "dd_letters", _dd_letters_but_first),
     ("lemma-2.1", checks, "admissible_inversion_count", _ai_plus_one_on_dd),
-    ("prop-3.4", rixfact, "_greatest_descent_top", _first_descent_top),
+    ("prop-3.4", rixfact, "_cut_positions", _every_descent_top),
     ("prop-3.5", bijections, "phi_inv", _phi_inv_last_fixed_point),
+    ("prop-3.5", bijections, "phi", _phi_beta_rest_reversed),
     ("f-bijection", bijections, "f_inv", _f_inv_hopping_first_letter),
 ]
 

@@ -2,12 +2,16 @@
 enumeration ceiling is defined only as perm.MAX_N, every check is a
 declared per-n claim whose n loop lives in checks.run_check alone, the
 rules of the D~, E and R0 families are written only in families, prop-3.4's
-enumerated side uses nothing from rixfact, and the benchmark's tracer still
-finds every name it rebinds."""
+enumerated side uses nothing from rixfact, the kernels a check compares
+(rix and rix_factorize, ai and inv, phi and phi_inv) do not reach each
+other, and the benchmark's tracer still finds every name it rebinds."""
 
 import ast
+import copy
 import importlib
 from pathlib import Path
+
+import pytest
 
 import eulerian_gamma
 from eulerian_gamma.perm import MAX_N
@@ -123,45 +127,100 @@ def test_family_rules_live_in_families():
         f"use the families index functions instead of restating: {offenders}")
 
 
-def _rixfact_references(tree: ast.Module, function: str) -> list[str]:
-    """Uses of rixfact, or of a name rixfact.py defines, in the checks.py
-    function `function` and in every module function it calls by name."""
-    rixfact_tree = ast.parse((PACKAGE / "rixfact.py").read_text(encoding="utf-8"))
+def _package_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _references(trees: dict, module: str, function: str, banned: set) -> list[str]:
+    """Uses of a banned name in module.function and in every package
+    function it reaches: same-module names, `<module>.<name>` attributes and
+    names imported with `from .<module> import <name>` are followed."""
+    defs = {mod: {node.name: node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)}
+            for mod, tree in trees.items()}
+    imported = {mod: {alias.asname or alias.name: (node.module, alias.name)
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and node.level == 1
+                      and node.module in trees for alias in node.names}
+                for mod, tree in trees.items()}
+    found, seen, todo = [], set(), [(module, function)]
+    while todo:
+        mod, name = todo.pop()
+        if (mod, name) in seen:
+            continue
+        seen.add((mod, name))
+        for node in ast.walk(defs[mod][name]):
+            if isinstance(node, ast.Name):
+                ident = node.id
+                target = (mod, ident) if ident in defs[mod] else imported[mod].get(ident)
+            elif isinstance(node, ast.Attribute):
+                ident = node.attr
+                owner = node.value.id if isinstance(node.value, ast.Name) else None
+                target = (owner, ident) if owner in trees else None
+            else:
+                continue
+            if ident in banned:
+                found.append(f"{mod}.{name}:{node.lineno} {ident}")
+            elif target and target[1] in defs[target[0]]:
+                todo.append(target)
+    return found
+
+
+def _insert_call(trees: dict, module: str, function: str, call: str) -> dict:
+    """A copy of trees whose module.function starts with the statement call."""
+    tree = copy.deepcopy(trees[module])
+    target = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == function)
+    target.body.insert(0, ast.parse(call).body[0])
+    return {**trees, module: tree}
+
+
+def _rixfact_names(trees: dict) -> set[str]:
+    """rixfact and every name rixfact.py defines."""
     banned = {"rixfact"}
-    for node in rixfact_tree.body:
+    for node in trees["rixfact"].body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             banned.add(node.name)
         elif isinstance(node, ast.Assign):
             banned.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    found, seen, todo = [], set(), [function]
-    while todo:
-        name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        for node in ast.walk(defs[name]):
-            ident = (node.id if isinstance(node, ast.Name)
-                     else node.attr if isinstance(node, ast.Attribute) else None)
-            if ident in banned:
-                found.append(f"{name}:{node.lineno} {ident}")
-            elif ident in defs:
-                todo.append(ident)
-    return found
+    return banned
 
 
 def test_prop_3_4_enumerated_side_is_independent_of_rixfact():
     """prop-3.4 compares rix_factorize with a search over all valid cuts;
     a search that used rixfact could share its bug."""
-    tree = ast.parse((PACKAGE / "checks.py").read_text(encoding="utf-8"))
-    found = _rixfact_references(tree, "_valid_factorizations")
+    trees = _package_trees()
+    banned = _rixfact_names(trees)
+    found = _references(trees, "checks", "_valid_factorizations", banned)
     assert not found, f"prop-3.4's search must not use rixfact: {found}"
     # the guard fails on a copy of the search that calls rix_factorize
-    search = next(node for node in tree.body
-                  if isinstance(node, ast.FunctionDef)
-                  and node.name == "_valid_factorizations")
-    search.body.insert(0, ast.parse("rixfact.rix_factorize(w)").body[0])
-    assert _rixfact_references(tree, "_valid_factorizations")
+    mutated = _insert_call(trees, "checks", "_valid_factorizations",
+                           "rixfact.rix_factorize(w)")
+    assert _references(mutated, "checks", "_valid_factorizations", banned)
+
+
+# (module, function, names it must not reach, a call that would reach one):
+# each pair of routes a check compares stays apart
+INDEPENDENT = [
+    ("rixfact", "rix", {"rix_factorize", "_cut_positions"}, "rix_factorize(w)"),
+    ("perm", "admissible_inversion_count", {"inv_count"}, "inv_count(w)"),
+    ("bijections", "phi", {"phi_inv", "scf"}, "scf(w)"),
+    ("bijections", "phi_inv", {"phi", "rix_factorize"}, "rixfact.rixed_points(w)"),
+]
+
+
+@pytest.mark.parametrize("module, function, banned, call", INDEPENDENT,
+                         ids=[f"{m}.{f}" for m, f, _, _ in INDEPENDENT])
+def test_compared_kernels_stay_independent(module, function, banned, call):
+    """rix is compared with |RIX| of rix_factorize (prop-3.2), ai with inv
+    (lemma-2.2), and phi with phi_inv (prop-3.5, both round trips)."""
+    trees = _package_trees()
+    found = _references(trees, module, function, banned)
+    assert not found, f"{module}.{function} reaches {found}"
+    # the guard fails on a copy of the kernel that makes the call
+    assert _references(_insert_call(trees, module, function, call),
+                       module, function, banned)
 
 
 def _bindings(mods: dict) -> dict:
