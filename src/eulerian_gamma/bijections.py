@@ -8,8 +8,6 @@ permutations ending with an ascent.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from . import actions, families, rixfact
 from .errors import NotInDomain
 from .perm import WordT, cyc_count
@@ -43,10 +41,6 @@ def scf(w: WordT) -> tuple[CycleT, ...]:
         long_cycles.append(tuple(cycle))
     fixed.reverse()
     return (*long_cycles, *fixed)
-
-
-def format_scf(cycles: Sequence[CycleT]) -> str:
-    return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles)
 
 
 def phi(w: WordT) -> WordT:

@@ -4,13 +4,14 @@ Every statement the paper verifies holds "for every n", so a check is
 data: a `Check` holds a per-size claim, an exhaustive ceiling and static
 notes.  `claim(n)` computes both sides at size n independently (exhaustive
 enumeration on one side, structured formula / gamma extraction on the
-other), compares exact polynomials and yields one witness string per
+other), compares exact polynomials and yields one witness body per
 counterexample it finds.
 
 `run_check` alone owns the loop over n = 1..min(max_n, ceiling), the
-timing, the witness cap (after `WITNESS_CAP` witnesses the check stops
-with one "stopped at" line, and its n_range ends at that n) and
-containment: an exception raised by a claim becomes the witness
+"n=<n>: " prefix of every witness, the timing, the witness cap (after
+`WITNESS_CAP` witnesses the check stops with one "stopped at" line, and
+its n_range ends at that n) and containment: an exception raised by a
+claim becomes the witness
 "n=<n>: <type>: <message> (at <file>:<line> in <function>)", naming the
 innermost frame of its traceback, and the run goes on with the next n.  A
 report's witnesses are empty exactly when the check passed.
@@ -20,10 +21,11 @@ holds canonical_rep and lemma-2.1 holds admissible_inversion_count in a
 dict over words(n).  lemma-4.1 holds each word's (beta1, RIX), factor type
 and lyc in one dict, interned so the words of an orbit share one tuple,
 reads a hop image's values there, and takes the n restricted hops of a
-word from one factorization (actions.restricted_hops).  prop-3.5 runs phi
-and phi_inv once per word and keeps only the set of images; f-bijection
-records f_map of each R0 word and f_inv of each D~ word and compares its
-round trips through the recorded images.
+word from one factorization (actions.restricted_hops).  prop-3.5 and
+f-bijection each prove a bijection one way plus a count: the inverse
+undoes the map on every word of the domain, and a count shows the images
+fill the target (n! distinct phi images; |R0_nk| = |D~_nk|, the D~ side
+counted without f).
 
 prop-3.4's enumerated side is a pruned left-to-right search over cut
 positions with the same side conditions, and it stays independent of
@@ -44,6 +46,7 @@ from math import comb, factorial
 from . import actions, bijections, families, rixfact
 from .mpoly import MPoly, ONE, gamma_extract, gamma_sum, q_binomial
 from .perm import (
+    DEFAULT_MAX_N,
     admissible_inversion_count,
     dd_count,
     des,
@@ -56,7 +59,7 @@ from .perm import (
     maj,
     words,
 )
-from .series import TruncatedSeries, from_slots
+from .series import TruncatedSeries
 
 WITNESS_CAP = 10
 # thm-1.4's orbit-representative part is exhaustive only up to here:
@@ -88,8 +91,9 @@ class VerificationReport:
 class Check:
     """A statement claimed at every size n = 1..ceiling.
 
-    claim(n) yields one witness string per counterexample at size n; it
-    looks its kernels up at call time, so rebinding them reaches it.
+    claim(n) yields one witness body per counterexample at size n, without
+    the "n=<n>: " prefix run_check adds; it looks its kernels up at call
+    time, so rebinding them reaches it.
     """
 
     ceiling: int
@@ -109,11 +113,11 @@ def _thm_1_1(n: int):
         for k, poly in families.dd_free_inv_table(n).items()
     }
     if lhs != gamma_sum(counts, n - 1):
-        yield f"n={n}: A_n(t,1,1) != classical expansion"
+        yield "A_n(t,1,1) != classical expansion"
     gammas = families.gamma_basic(n).at_q_one()
     for k, size in counts.items():
         if MPoly.const(gammas[k]) != size:
-            yield f"n={n}, k={k}: gamma(1) != |D_nk|"
+            yield f"k={k}: gamma(1) != |D_nk|"
 
 
 def _thm_1_2(n: int):
@@ -129,15 +133,15 @@ def _thm_1_3(n: int):
     if n % 2 == 0:
         m = n // 2
         if not a1.is_zero():
-            yield f"n={n}: A_n(-1,1,q) != 0"
+            yield "A_n(-1,1,q) != 0"
         if a0 != alternating_sum * ((-1) ** m):
-            yield f"n={n}: A_n(-1,0,q) != (-1)^{m} * alternating sum"
+            yield f"A_n(-1,0,q) != (-1)^{m} * alternating sum"
     else:
         m = (n - 1) // 2
         if n >= 2 and not a0.is_zero():
-            yield f"n={n}: A_n(-1,0,q) != 0"
+            yield "A_n(-1,0,q) != 0"
         if a1 != alternating_sum * ((-1) ** m):
-            yield f"n={n}: A_n(-1,1,q) != (-1)^{m} * alternating sum"
+            yield f"A_n(-1,1,q) != (-1)^{m} * alternating sum"
     if n % 2 == 1:
         index, k = families.d_index, (n - 1) // 2
     else:
@@ -146,7 +150,7 @@ def _thm_1_3(n: int):
         alt = is_alternating(w)
         member = index(w) == k
         if alt != member:
-            yield f"n={n}: {w}: alternating={alt} family={member}"
+            yield f"{w}: alternating={alt} family={member}"
 
 
 def _thm_1_4(n: int):
@@ -158,21 +162,21 @@ def _thm_1_4(n: int):
     reps = {w: actions.canonical_rep(w, "mfs") for w in words(n)}
     for w, rep in reps.items():
         if dd_count(rep) != 0:
-            yield f"n={n}: rep of {w} has a double descent"
+            yield f"rep of {w} has a double descent"
         if dd_count(w) == 0 and rep != w:
-            yield f"n={n}: dd-free {w} is not its own rep"
+            yield f"dd-free {w} is not its own rep"
         if any(reps[actions.mfs_single(w, x)] != rep for x in range(1, n + 1)):
-            yield f"n={n}: rep not constant on orbit of {w}"
+            yield f"rep not constant on orbit of {w}"
 
 
 def _thm_1_5(n: int):
     if not families.gamma_derangement(n).gammas[0].is_zero():
-        yield f"n={n}: gamma~_0 != 0"
+        yield "gamma~_0 != 0"
 
 
 def _lemma_1_7(n: int):
     if families.basic_eulerian(n) != families.basic_eulerian_desrix(n):
-        yield f"n={n}: (exc,fix,maj-exc) != (des,rix,ai) polynomial"
+        yield "(exc,fix,maj-exc) != (des,rix,ai) polynomial"
 
 
 def _lemma_2_1(n: int):
@@ -181,7 +185,7 @@ def _lemma_2_1(n: int):
         for x in range(1, n + 1):
             w2 = actions.mfs_single(w, x)
             if w2 != w and ais[w2] != ai:
-                yield f"n={n}: ai changed by hop of {x} on {w}"
+                yield f"ai changed by hop of {x} on {w}"
 
 
 def _lemma_2_2(n: int):
@@ -189,28 +193,28 @@ def _lemma_2_2(n: int):
         ai = admissible_inversion_count(w)
         inv = inv_count(w)
         if ai > inv:
-            yield f"n={n}: ai > inv on {w}"
+            yield f"ai > inv on {w}"
         if dd_count(w) == 0 and ai != inv:
-            yield f"n={n}: dd-free {w} has ai != inv"
+            yield f"dd-free {w} has ai != inv"
 
 
 def _prop_3_2(n: int):
     for w in words(n):
         fact = rixfact.rix_factorize(w)
         if fact.word != w:
-            yield f"n={n}: factors do not concatenate to {w}"
+            yield f"factors do not concatenate to {w}"
         r = rixfact.rix(w)
         if r != len(fact.rix_set):
-            yield f"n={n}: rix != |RIX| on {w}"
+            yield f"rix != |RIX| on {w}"
         f_hook = fact.beta_kind == rixfact.F_HOOK and len(fact.beta) >= 2
         if (r == 0) != f_hook:
-            yield f"n={n}: rix=0 iff F-hook fails on {w}"
+            yield f"rix=0 iff F-hook fails on {w}"
         chain = [a[-1] for a in fact.alphas] + [fact.beta1]
         if any(chain[i] <= chain[i + 1] for i in range(len(chain) - 1)):
-            yield f"n={n}: chain condition fails on {w}"
+            yield f"chain condition fails on {w}"
         for a in fact.alphas:
             if len(a) < 2 or a[-1] != max(a):
-                yield f"n={n}: alpha {a} is not an L-hook>=2"
+                yield f"alpha {a} is not an L-hook>=2"
 
 
 def _valid_factorizations(w: tuple[int, ...]):
@@ -259,7 +263,7 @@ def _prop_3_4(n: int):
         valid = _valid_factorizations(w)
         fact = rixfact.rix_factorize(w)
         if len(valid) != 1 or valid[0] != (fact.alphas, fact.beta):
-            yield f"n={n}: {w}: {len(valid)} valid factorizations"
+            yield f"{w}: {len(valid)} valid factorizations"
 
 
 def _prop_3_5(n: int):
@@ -272,63 +276,53 @@ def _prop_3_5(n: int):
     for w in words(n):
         image = bijections.phi(w)
         if sorted(image) != letters:
-            yield f"n={n}: phi({w}) = {image} is not a word of S_{n}"
+            yield f"phi({w}) = {image} is not a word of S_{n}"
             continue
         images.add(image)
         back = bijections.phi_inv(image)
         if back != w:
-            yield f"n={n}: phi_inv(phi({w})) = {back}"
+            yield f"phi_inv(phi({w})) = {back}"
         if des(w) != exc_count(image):
-            yield f"n={n}: des/exc mismatch on {w}"
+            yield f"des/exc mismatch on {w}"
         if rixfact.rixed_points(w) != fix_set(image):
-            yield f"n={n}: RIX/FIX mismatch on {w}"
+            yield f"RIX/FIX mismatch on {w}"
         k = families.r0_index(w)
         if k is not None:
             r0_sizes[k] += 1
             if families.e_index(image) is None:
-                yield f"n={n}: phi({w}) not in E family"
+                yield f"phi({w}) not in E family"
     e_sizes = families.sizes(families.cda_free_derangement_cyc_table(n))
     if len(images) != factorial(n) or r0_sizes != e_sizes:
-        yield f"n={n}: |R0_nk| != |E_nk| ({dict(r0_sizes)} vs {e_sizes})"
+        yield f"|R0_nk| != |E_nk| ({dict(r0_sizes)} vs {e_sizes})"
 
 
 def _f_bijection(n: int):
-    """f sends R0_{n,k} to D~_{n,k}, ending with beta1, and f_inv is its
-    inverse; the round trips read the recorded images."""
-    d_tilde, r0 = {}, {}
+    """f sends R0_{n,k} into D~_{n,k}, ending with beta1, and f_inv undoes
+    it.  f_inv(f(w)) == w makes f injective, so with |R0_nk| = |D~_nk| it
+    is a bijection and f_inv its inverse; the D~ sizes are counted
+    without f."""
+    r0_sizes: Counter = Counter()
+    d_tilde_sizes: Counter = Counter()
     for w in words(n):
         k = families.d_tilde_index(w)
         if k is not None:
-            d_tilde[w] = k
+            d_tilde_sizes[k] += 1
             continue  # dd = 0, so w is not in R0
         k = families.r0_index(w)
-        if k is not None:
-            r0[w] = k
-    back = {w: bijections.f_inv(w) for w in d_tilde}
-    image = {w: bijections.f_map(w) for w in r0}
-    for w, k in d_tilde.items():
-        j = r0.get(back[w])
-        if j is None:
-            yield f"n={n}: f_inv({w}) not in R0"
-        elif j != k:
-            yield f"n={n}: f_inv({w}) changes k"
-        elif image[back[w]] != w:
-            yield f"n={n}: f(f_inv({w})) != {w}"
-    for w, k in r0.items():
-        img = image[w]
-        j = d_tilde.get(img)
-        if img[-1] != rixfact.rix_factorize(w).beta1:
-            yield f"n={n}: f({w}) does not end with beta1"
-        elif j is None:
-            yield f"n={n}: f({w}) not in D~ family"
-        elif j != k:
-            yield f"n={n}: f({w}) changes k"
-        elif back[img] != w:
-            yield f"n={n}: f_inv(f({w})) != {w}"
-    d_tilde_sizes = dict(Counter(d_tilde.values()))
+        if k is None:
+            continue
+        r0_sizes[k] += 1
+        image = bijections.f_map(w)
+        if image[-1] != rixfact.rix_factorize(w).beta1:
+            yield f"f({w}) does not end with beta1"
+        elif families.d_tilde_index(image) != k:
+            yield f"f({w}) = {image} is not in D~_nk for k={k}"
+        elif bijections.f_inv(image) != w:
+            yield f"f_inv(f({w})) != {w}"
     e_sizes = families.sizes(families.cda_free_derangement_cyc_table(n))
-    if d_tilde_sizes != e_sizes:
-        yield f"n={n}: |D~_nk| != |E_nk| ({d_tilde_sizes} vs {e_sizes})"
+    if not r0_sizes == d_tilde_sizes == e_sizes:
+        yield (f"|R0_nk|, |D~_nk|, |E_nk| differ "
+               f"({dict(r0_sizes)}, {dict(d_tilde_sizes)}, {e_sizes})")
 
 
 def _lemma_4_1(n: int):
@@ -351,11 +345,11 @@ def _lemma_4_1(n: int):
                 continue
             rix2, type2, lyc2 = invariants[w2]
             if rix2 != ref_rix:
-                yield f"n={n}: beta1/RIX changed by {x} on {w}"
+                yield f"beta1/RIX changed by {x} on {w}"
             if type2 != ref_type:
-                yield f"n={n}: factor type changed by {x} on {w}"
+                yield f"factor type changed by {x} on {w}"
             if lyc2 != ref_lyc:
-                yield f"n={n}: lyc changed by {x} on {w}"
+                yield f"lyc changed by {x} on {w}"
 
 
 def _ai_exponent(w) -> tuple:
@@ -367,21 +361,21 @@ def _lemma_4_2(n: int):
         if rixfact.rix(w) == 0:
             rep = actions.canonical_rep(w, "restricted")
             if dd_count(rep) != 1:
-                yield f"n={n}: restricted rep of {w} has dd != 1"
+                yield f"restricted rep of {w} has dd != 1"
             if rep != w and families.r0_index(w) is not None:
-                yield f"n={n}: dd=1 elem {w} is not its own rep"
+                yield f"dd=1 elem {w} is not its own rep"
     lhs = MPoly(families.tally(
         n, lambda w: (des(w), 0, admissible_inversion_count(w), 0, 0, 0),
         keep=lambda w: rixfact.rix(w) == 0,
     ))
     r0_ai = families.table(n, families.r0_index, _ai_exponent)
     if lhs != gamma_sum(r0_ai, n):
-        yield f"n={n}: restricted orbit expansion fails"
+        yield "restricted orbit expansion fails"
     # proof chain: f keeps ai and sends des = k to des = k - 1, and the
     # D~ index is des + 1, so both tables are keyed by the same k
     d_tilde_ai = families.table(n, families.d_tilde_index, _ai_exponent)
     if r0_ai != d_tilde_ai or d_tilde_ai != families.dd_free_ascent_inv_table(n):
-        yield f"n={n}: ai/inv proof-chain equality fails"
+        yield "ai/inv proof-chain equality fails"
 
 
 def _prop_5_1(n: int):
@@ -391,7 +385,7 @@ def _prop_5_1(n: int):
     r = MPoly.var("r")
 
     def series(slot) -> TruncatedSeries:
-        return from_slots([slot(m) for m in range(n + 1)])
+        return TruncatedSeries(tuple(slot(m) for m in range(n + 1)))
 
     def gamma_series(table) -> TruncatedSeries:
         """Slot m holds sum_k table(m)[k] t^k (1+t)^(m-2k); slot 0 = 1."""
@@ -424,12 +418,12 @@ def _prop_5_2(n: int):
     for i in range(1, m):
         rhs = rhs + y * q**i * q_binomial(m, i) * gam(i) * gam(m - i)
     if gam(n) != rhs:
-        yield f"Gamma recurrence fails at n={m}"
+        yield "Gamma recurrence fails for Gamma_n"
     rhs2 = y * gam(m)
     for i in range(2, m):
         rhs2 = rhs2 + y * q**i * q_binomial(m, i) * families.gamma_tilde_poly(i) * gam(m - i)
     if families.gamma_tilde_poly(n) != rhs2:
-        yield f"GammaTilde recurrence fails at n={m}"
+        yield "GammaTilde recurrence fails for GammaTilde_n"
 
 
 def _recurrence2(n: int):
@@ -450,7 +444,7 @@ def _recurrence2(n: int):
     for j in range(m):
         rhs = rhs + t * q_binomial(m, j) * q**j * a(j) * a(m - j).substitute("r", 1)
     if a(n) != rhs:
-        yield f"A recurrence fails at n={m}"
+        yield "A recurrence fails for A_n"
 
 
 def _eq_qmul(n: int):
@@ -470,7 +464,7 @@ def _fix_maj(n: int):
         lhs = families.fixed_count_exc_maj_poly(n, j)
         rhs = q_binomial(n, j) * families.basic_eulerian(n - j).substitute("r", 0)
         if lhs != rhs:
-            yield f"n={n}, j={j}: fix-maj identity fails"
+            yield f"j={j}: fix-maj identity fails"
 
 
 def _cycle_bis(n: int):
@@ -486,7 +480,7 @@ def _cycle_bis(n: int):
             }
             rhs = gamma_sum(table, n - j)
         if lhs != rhs:
-            yield f"n={n}, j={j}: cycle-bis identity fails"
+            yield f"j={j}: cycle-bis identity fails"
 
 
 def _exp_fixed(n: int):
@@ -501,16 +495,16 @@ def _exp_fixed(n: int):
             else:
                 expected = qbin * direct.get(k, MPoly.zero())
             if g != expected:
-                yield f"n={n}, j={j}, k={k}: exp-fixed mismatch"
+                yield f"j={j}, k={k}: exp-fixed mismatch"
 
 
 def _sw3(n: int):
     expansion = families.sw3_gamma(n)
     for k, g in enumerate(expansion.gammas):
         if not g.coefficients_nonnegative():
-            yield f"n={n}, k={k}: negative coefficient"
+            yield f"k={k}: negative coefficient"
     if n >= 2 and not expansion.gammas[0].is_zero():
-        yield f"n={n}: gamma~_0(p,q) != 0"
+        yield "gamma~_0(p,q) != 0"
 
 
 def _remark_1_8(n: int):
@@ -522,7 +516,7 @@ def _remark_1_8(n: int):
         imajs[s].append(imaj(w))
     for s, values in invs.items():
         if Counter(values) != Counter(imajs[s]):
-            yield f"n={n}, DES={sorted(s)}: inv and imaj distributions differ"
+            yield f"DES={sorted(s)}: inv and imaj distributions differ"
 
 
 def _remark_3_7(n: int):
@@ -609,7 +603,7 @@ CHECKS: dict[str, Check] = {
 }
 
 
-def run_check(check_id: str, max_n: int = 9) -> VerificationReport:
+def run_check(check_id: str, max_n: int = DEFAULT_MAX_N) -> VerificationReport:
     if check_id not in CHECKS:
         raise KeyError(f"unknown check id {check_id!r}")
     check = CHECKS[check_id]
@@ -620,7 +614,7 @@ def run_check(check_id: str, max_n: int = 9) -> VerificationReport:
     for n in range(1, n_max + 1):
         try:
             for witness in check.claim(n):
-                witnesses.append(witness)
+                witnesses.append(f"n={n}: {witness}")
                 if len(witnesses) == WITNESS_CAP:
                     break
         except Exception as exc:  # one failing claim must not lose the run
@@ -644,5 +638,5 @@ def run_check(check_id: str, max_n: int = 9) -> VerificationReport:
     )
 
 
-def run_checks(check_ids: list[str], max_n: int = 9) -> list[VerificationReport]:
+def run_checks(check_ids: list[str], max_n: int = DEFAULT_MAX_N) -> list[VerificationReport]:
     return [run_check(cid, max_n) for cid in check_ids]

@@ -22,9 +22,18 @@ from .errors import (
     NotInDomain,
 )
 from .mpoly import GammaExpansion
-from .perm import MAX_N, format_word, parse_permutation, shape_counts, statistics
+from .perm import (
+    DEFAULT_MAX_N,
+    MAX_N,
+    format_word,
+    parse_permutation,
+    shape_counts,
+    statistics,
+)
 
-DEFAULT_MAX_N = 9
+
+class UsageError(ValueError):
+    """Input the CLI refuses: main prints "error: <message>" and exits 2."""
 
 
 # The common flags; each subcommand declares the ones it reads.  --output
@@ -112,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_max_n(args: argparse.Namespace) -> int:
     """--max-n, else EULERIAN_GAMMA_MAX_N, else DEFAULT_MAX_N.  A value
-    outside 1..MAX_N is a usage error: one stderr line, exit 2."""
+    outside 1..MAX_N is a usage error."""
     if args.max_n is not None:
         source, raw = "--max-n", str(args.max_n)
     else:
@@ -124,9 +133,7 @@ def _resolve_max_n(args: argparse.Namespace) -> int:
     except ValueError:
         max_n = 0  # not an integer: reported like an out-of-range value
     if not 1 <= max_n <= MAX_N:
-        print(f"error: {source} must be an integer in 1..{MAX_N}, got {raw!r}",
-              file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError(f"{source} must be an integer in 1..{MAX_N}, got {raw!r}")
     return max_n
 
 
@@ -160,8 +167,7 @@ _GAMMA_FAMILIES = {
 
 def cmd_gamma(args: argparse.Namespace) -> int:
     if args.n < 1 or args.n > args.max_n:
-        print(f"n must be in 1..{args.max_n}", file=sys.stderr)
-        return 2
+        raise UsageError(f"n must be in 1..{args.max_n}")
     try:
         expansion: GammaExpansion = _GAMMA_FAMILIES[args.family](args.n)
     except (MismatchAgainstDirect, NotExpandable) as exc:
@@ -203,12 +209,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ids = args.check_ids
         unknown = [cid for cid in ids if cid not in checks.CHECKS]
         if unknown:
-            print(f"unknown check ids: {', '.join(unknown)}", file=sys.stderr)
-            return 2
+            raise UsageError(f"unknown check ids: {', '.join(unknown)}")
     if args.threads < 0:
-        print(f"error: --threads must be 0 (auto) or positive, got {args.threads}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"--threads must be 0 (auto) or positive, got {args.threads}")
     jobs = [(cid, args.max_n) for cid in ids]
     # the pool starts every worker at once, so never more than there are jobs
     workers = min(args.threads or os.cpu_count() or 1, len(jobs))
@@ -253,9 +256,8 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     # orbit has at most 2^(dd+da) members; 2^(max_n-1) admits all of S_max_n's
     dd, da, _, _ = shape_counts(w)
     if dd + da > max_n - 1:
-        print(f"error: orbit of {args.perm} may have 2^{dd + da} members; "
-              f"--max-n {max_n} allows at most 2^{max_n - 1}", file=sys.stderr)
-        return 2
+        raise UsageError(f"orbit of {args.perm} may have 2^{dd + da} members; "
+                         f"--max-n {max_n} allows at most 2^{max_n - 1}")
     members = sorted(actions.orbit(w, args.action))
     if args.output == "json":
         print(json.dumps([format_word(m) for m in members]))
@@ -268,8 +270,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 def cmd_rixfact(args: argparse.Namespace) -> int:
     w = parse_permutation(args.perm)
     if not w:
-        print("rixfact requires n >= 1", file=sys.stderr)
-        return 2
+        raise UsageError("rixfact requires n >= 1")
     print(rixfact.format_factorization(rixfact.rix_factorize(w)))
     return 0
 
@@ -281,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
         if "max_n" in args:  # only the subcommands that read it
             args.max_n = _resolve_max_n(args)
         return args.handler(args)
-    except NotABijection as exc:
+    except (NotABijection, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotInDomain, BudgetExceeded) as exc:

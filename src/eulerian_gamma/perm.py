@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 from .errors import BudgetExceeded, NotABijection
 
 MAX_N = 12  # enumeration ceiling of words() and of the CLI's --max-n
+DEFAULT_MAX_N = 9  # the ceiling run_check and the CLI use when given none
 
 WordT = tuple[int, ...]
 

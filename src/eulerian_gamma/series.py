@@ -40,7 +40,3 @@ class TruncatedSeries:
             slots.append(acc)
         return TruncatedSeries(tuple(slots))
 
-
-def from_slots(slots: list[MPoly]) -> TruncatedSeries:
-    return TruncatedSeries(tuple(slots))
-

@@ -7,7 +7,6 @@ import pytest
 from eulerian_gamma.bijections import (
     f_inv,
     f_map,
-    format_scf,
     lyc,
     phi,
     phi_inv,
@@ -30,7 +29,7 @@ from test_kernel_references import word_from_cycles
 def test_scf_format_example():
     # sigma = 8 5 3 9 2 6 4 1 7 written in one-line form
     w = (8, 5, 3, 9, 2, 6, 4, 1, 7)
-    assert format_scf(scf(w)) == "(9 7 4)(8 1)(5 2)(3)(6)"
+    assert scf(w) == ((9, 7, 4), (8, 1), (5, 2), (3,), (6,))
 
 
 def test_scf_round_trip():

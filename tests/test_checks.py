@@ -1,14 +1,15 @@
 """The verification registry: every check runs and passes at a small
-ceiling, reports serialize to the documented schema, and the runner caps
-witnesses and turns an exception in a claim into a failed report.  The
-orbit and bijection checks run each kernel once per word."""
+ceiling, reports serialize to the documented schema, and the runner
+prefixes each witness with its size, caps witnesses and turns an exception
+in a claim into a failed report.  The orbit and bijection checks run each
+kernel once per word."""
 
 from math import factorial
 
 import pytest
 
 from eulerian_gamma import bijections, checks, families
-from eulerian_gamma.checks import CHECKS, WITNESS_CAP, run_check, run_checks
+from eulerian_gamma.checks import CHECKS, WITNESS_CAP, Check, run_check, run_checks
 
 EXPECTED_IDS = {
     "thm-1.1", "thm-1.2", "thm-1.3", "thm-1.4", "thm-1.5",
@@ -77,6 +78,17 @@ def test_exception_in_claim_is_a_failed_report(monkeypatch):
         for n in range(1, 6)
     )
     assert passed.check_id == "table-1" and passed.passed
+
+
+def test_witness_is_prefixed_with_its_size(monkeypatch):
+    def claim(n):
+        if n == 3:
+            yield "x"
+
+    monkeypatch.setitem(CHECKS, "claim-at-3", Check(4, claim))
+    report = run_check("claim-at-3", max_n=5)
+    assert report.n_range == (1, 4)
+    assert report.witnesses == ("n=3: x",)
 
 
 def test_witnesses_are_capped(monkeypatch):

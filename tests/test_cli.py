@@ -119,7 +119,7 @@ def test_gamma_bad_family_exits_2(capsys):
 def test_gamma_over_ceiling_exits_2(capsys):
     code, _, err = run_cli(capsys, "gamma", "basic", "13")
     assert code == 2
-    assert err == "n must be in 1..9\n"
+    assert err == "error: n must be in 1..9\n"
     for value in ("0", "13"):
         code, _, err = run_cli(capsys, "gamma", "basic", "4", "--max-n", value)
         assert code == 2
@@ -137,7 +137,7 @@ def test_env_var_cap(capsys, monkeypatch):
     monkeypatch.setenv("EULERIAN_GAMMA_MAX_N", "3")
     code, _, err = run_cli(capsys, "gamma", "basic", "4")
     assert code == 2
-    assert err == "n must be in 1..3\n"
+    assert err == "error: n must be in 1..3\n"
 
 
 def test_env_var_is_read_only_by_subcommands_with_max_n(capsys, monkeypatch):

@@ -3,6 +3,7 @@ checks._valid_factorizations, against the literal reference: every one of
 the 2^(n-1) ways to cut a word, each kept when it meets the side
 conditions of the rix-factorization."""
 
+import functools
 import random
 
 import pytest
@@ -11,25 +12,42 @@ from eulerian_gamma.checks import _valid_factorizations
 from eulerian_gamma.perm import words
 
 
-def _literal_valid_factorizations(w):
-    n = len(w)
-    valid = []
+@functools.cache
+def _cut_lists(n):
+    """Every one of the 2^(n-1) ways to cut a word of length n: the
+    (start, end) bounds of its alphas and the start of its beta."""
+    lists = []
     for mask in range(1 << (n - 1)) if n else []:
         cuts = [0] + [i + 1 for i in range(n - 1) if mask >> i & 1] + [n]
-        factors = [w[cuts[i]: cuts[i + 1]] for i in range(len(cuts) - 1)]
-        alphas, beta = factors[:-1], factors[-1]
-        if any(len(a) < 2 or a[-1] != max(a) for a in alphas):
+        lists.append((tuple(zip(cuts, cuts[1:-1])), cuts[-2]))
+    return tuple(lists)
+
+
+def _is_beta(beta):
+    """An L- or F-hook whose first letter is its greatest descent top."""
+    m = max(beta)
+    if not (beta[-1] == m or (len(beta) >= 2 and beta[0] == m)):
+        return False
+    tops = [beta[i] for i in range(len(beta) - 1) if beta[i] > beta[i + 1]]
+    return not tops or beta[0] == max(tops)
+
+
+def _literal_valid_factorizations(w):
+    """Every cut of w, kept when it meets every side condition.  A factor's
+    own conditions depend only on its bounds, so they are computed once per
+    bounds; the chain is checked for each cut."""
+    n = len(w)
+    alpha_ok = {(s, e): e - s >= 2 and w[e - 1] == max(w[s:e])  # L-hook >= 2
+                for s in range(n) for e in range(s + 1, n)}
+    beta_ok = [_is_beta(w[s:]) for s in range(n)]
+    valid = []
+    for alphas, b in _cut_lists(n):
+        if not beta_ok[b] or not all(alpha_ok[bounds] for bounds in alphas):
             continue
-        m = max(beta)
-        if not (beta[-1] == m or (len(beta) >= 2 and beta[0] == m)):
-            continue
-        chain = [a[-1] for a in alphas] + [beta[0]]
+        chain = [w[e - 1] for _, e in alphas] + [w[b]]
         if any(chain[i] <= chain[i + 1] for i in range(len(chain) - 1)):
             continue
-        tops = [beta[i] for i in range(len(beta) - 1) if beta[i] > beta[i + 1]]
-        if tops and beta[0] != max(tops):
-            continue
-        valid.append((tuple(alphas), beta))
+        valid.append((tuple(w[s:e] for s, e in alphas), w[b:]))
     return valid
 
 

@@ -15,7 +15,7 @@ from eulerian_gamma.mpoly import (
     one_plus_t_power,
     q_binomial,
 )
-from eulerian_gamma.series import from_slots
+from eulerian_gamma.series import TruncatedSeries
 
 
 t = MPoly.var("t")
@@ -124,7 +124,7 @@ def test_gamma_expansion_at_q_one():
 
 def test_series_product_picks_up_q_binomials():
     """Slot 2 of e(z;q)^2 stores sum_i [2 i]_q = 1 + (1+q) + 1 = 3 + q."""
-    e = from_slots([ONE] * 5)  # e(z;q): every slot is 1
+    e = TruncatedSeries((ONE,) * 5)  # e(z;q): every slot is 1
     prod = e * e
     assert prod[0] == ONE
     assert prod[1] == 2
@@ -138,18 +138,18 @@ def test_series_product_picks_up_q_binomials():
 
 
 def test_series_product_truncates_to_shorter_order():
-    a = from_slots([ONE, t, t**2])
-    b = from_slots([ONE, ONE])
+    a = TruncatedSeries((ONE, t, t**2))
+    b = TruncatedSeries((ONE, ONE))
     assert (a * b).order == (b * a).order == 1
     assert (a * b)[1] == t + ONE
-    assert (a * b) == (b * a) == from_slots([ONE, t + ONE])
+    assert (a * b) == (b * a) == TruncatedSeries((ONE, t + ONE))
 
 
 def test_series_exp_functional_equation():
     """e(z;q) * e(tz;q) slotwise equals the series with slot n equal to
     sum_i [n i]_q t^(n-i)."""
-    e_t = from_slots([t**n for n in range(6)])  # e(tz;q): slot n is t^n
-    prod = e_t * from_slots([ONE] * 6)
+    e_t = TruncatedSeries(tuple(t**n for n in range(6)))  # e(tz;q): slot n is t^n
+    prod = e_t * TruncatedSeries((ONE,) * 6)
     for n in range(6):
         acc = MPoly.zero()
         for i in range(n + 1):

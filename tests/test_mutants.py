@@ -16,6 +16,7 @@ from eulerian_gamma.checks import run_check
 from eulerian_gamma.errors import NotInDomain
 
 _LYC = bijections.lyc
+_R0_INDEX = families.r0_index
 
 
 def _clear_caches():
@@ -82,6 +83,12 @@ def _lyc_plus_one_on_first_ascent(w):
     return _LYC(w) + (len(w) >= 2 and w[0] < w[1])
 
 
+def _r0_index_without_leading_1(w):
+    """R0 membership forgetting the words that start with 1: every word
+    left still maps and maps back, so only the count can notice."""
+    return None if w and w[0] == 1 else _R0_INDEX(w)
+
+
 def _f_inv_hopping_first_letter(w):
     if families.d_tilde_index(w) is None:
         raise NotInDomain("f_inv needs dd(sigma) = 0 and a final ascent")
@@ -99,6 +106,7 @@ MUTANTS = [
     ("prop-3.5", bijections, "phi_inv", _phi_inv_last_fixed_point),
     ("prop-3.5", bijections, "phi", _phi_beta_rest_reversed),
     ("f-bijection", bijections, "f_inv", _f_inv_hopping_first_letter),
+    ("f-bijection", families, "r0_index", _r0_index_without_leading_1),
 ]
 
 

@@ -1,6 +1,7 @@
 """Design guards: S_n is enumerated only through perm.words, the
 enumeration ceiling is defined only as perm.MAX_N, every check is a
-declared per-n claim whose n loop lives in checks.run_check alone, the
+declared per-n claim whose n loop and witness size prefix live in
+checks.run_check alone, the
 rules of the D~, E and R0 families are written only in families, prop-3.4's
 enumerated side uses nothing from rixfact, the kernels a check compares
 (rix and rix_factorize, ai and inv, phi and phi_inv) do not reach each
@@ -76,6 +77,31 @@ def test_only_run_check_loops_over_n():
         and id(node) not in inside_runner
     ]
     assert not offenders, f"a claim checks one size n; run_check loops: {offenders}"
+
+
+def _prefixed_yields(tree: ast.Module) -> list[int]:
+    """Lines of the yields whose string starts with "n="."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Yield) and node.value is not None:
+            value = node.value
+            if isinstance(value, ast.JoinedStr) and value.values:
+                value = value.values[0]
+            if (isinstance(value, ast.Constant) and isinstance(value.value, str)
+                    and value.value.startswith("n=")):
+                found.append(node.lineno)
+    return found
+
+
+def test_only_run_check_writes_the_size_prefix():
+    """run_check prefixes "n=<n>: " to every witness; a claim that wrote it
+    too would name its size twice."""
+    trees = {"checks": ast.parse((PACKAGE / "checks.py").read_text(encoding="utf-8"))}
+    found = _prefixed_yields(trees["checks"])
+    assert not found, f"yield the witness body only, at lines {found}"
+    # the guard fails on a copy of a claim that writes the prefix itself
+    mutated = _insert_call(trees, "checks", "_thm_1_5", 'yield f"n={n}: x"')
+    assert _prefixed_yields(mutated["checks"])
 
 
 def _subscript_index(node):
