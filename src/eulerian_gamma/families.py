@@ -15,13 +15,13 @@ The empty word is in D_{0,0} and E_{0,0}, and is an alternating
 derangement, as in every family polynomial at n = 0.
 
 Everything else is a direct sum over permutations, apart from the four
-gamma tables (gamma_basic, gamma_derangement, cyc_gamma, sw3_gamma): each
-extracts gamma coefficients from a family polynomial with
-mpoly.gamma_extract and raises MismatchAgainstDirect unless the result
-equals the direct sums of a k-table (for sw3_gamma, its p = 1
-specialization against dd_free_ascent_inv_table).  The other
-structured routes (recurrences, series, bijections) live in checks.py, so
-the two sides stay independent.
+gamma tables (gamma_basic, gamma_derangement, cyc_gamma, sw3_gamma).
+Each is one call of _checked_extract, which extracts gamma coefficients
+from a family polynomial with mpoly.gamma_extract and raises
+MismatchAgainstDirect unless their p = 1 specializations equal the direct
+sums of a k-table at every k of either (only sw3_gamma's polynomial has
+a p).  The other structured routes (recurrences, series, bijections) live
+in checks.py, so the two sides stay independent.
 Each family is a filter on S_n plus a key: the key maps a word to its
 exponent 6-tuple (t, r, q, p, y, b), and `tally` counts the keys in plain
 dicts for speed before wrapping into MPoly; `table` does the same per
@@ -224,53 +224,44 @@ def gamma_tilde_poly(n: int) -> MPoly:
 
 # --- gamma expansions with built-in cross-check ---------------------------
 
-def _compare_expansion(
-    expansion: GammaExpansion, direct: dict[int, MPoly], label: str
+def _checked_extract(
+    label: str, n: int, h: MPoly, center: int, direct: dict[int, MPoly]
 ) -> GammaExpansion:
-    for k, g in enumerate(expansion.gammas):
-        if direct.get(k, MPoly.zero()) != g:
+    """gamma_extract(h, center) for n >= 1, raising MismatchAgainstDirect
+    unless its gammas at p = 1 equal the direct table at every k of either,
+    a k missing from one side counting as zero.  Only sw3_gamma's h has a p."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    expansion = gamma_extract(h, center)
+    extracted = {k: g.substitute("p", 1) for k, g in enumerate(expansion.gammas)}
+    for k in sorted(extracted.keys() | direct.keys()):
+        g, d = extracted.get(k, MPoly.zero()), direct.get(k, MPoly.zero())
+        if g != d:
             raise MismatchAgainstDirect(
-                f"{label}: k={k}: extracted {g.to_text()} != "
-                f"direct {direct.get(k, MPoly.zero()).to_text()}"
-            )
-    for k in direct:
-        if k > len(expansion.gammas) - 1 and not direct[k].is_zero():
-            raise MismatchAgainstDirect(f"{label}: direct k={k} out of range")
+                f"{label}: k={k}: extracted {g.to_text()} != direct {d.to_text()}")
     return expansion
 
 
 def gamma_basic(n: int) -> GammaExpansion:
     """Gamma expansion of A_n(t,1,q) at center n-1, cross-checked against
     the direct q^inv sums over dd-free permutations."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
     h = basic_eulerian(n).substitute("r", 1)
-    expansion = gamma_extract(h, center=n - 1)
-    return _compare_expansion(expansion, dd_free_inv_table(n), f"gamma_basic({n})")
+    return _checked_extract(f"gamma_basic({n})", n, h, n - 1, dd_free_inv_table(n))
 
 
 def gamma_derangement(n: int) -> GammaExpansion:
     """Gamma expansion of A_n(t,0,q) at center n, cross-checked against the
     direct sums over dd-free final-ascent permutations."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
     h = basic_eulerian(n).substitute("r", 0)
-    expansion = gamma_extract(h, center=n)
-    return _compare_expansion(
-        expansion, dd_free_ascent_inv_table(n), f"gamma_derangement({n})"
-    )
+    return _checked_extract(f"gamma_derangement({n})", n, h, n,
+                            dd_free_ascent_inv_table(n))
 
 
 def cyc_gamma(n: int) -> GammaExpansion:
     """Gamma expansion of the derangement cycle polynomial at center n,
     cross-checked against direct b^cyc sums over cda-free derangements."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    h = derangement_cyc_poly(n)
-    expansion = gamma_extract(h, center=n)
-    return _compare_expansion(
-        expansion, cda_free_derangement_cyc_table(n), f"cyc_gamma({n})"
-    )
+    return _checked_extract(f"cyc_gamma({n})", n, derangement_cyc_poly(n),
+                            n, cda_free_derangement_cyc_table(n))
 
 
 def sw3_gamma(n: int) -> GammaExpansion:
@@ -282,11 +273,6 @@ def sw3_gamma(n: int) -> GammaExpansion:
     gamma coefficients gamma~_{n,k}(q) at p = 1, which are cross-checked
     against the direct sums over dd-free final-ascent permutations.
     """
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    expansion = gamma_extract(derangement_exc_des_maj_poly(n), center=n)
-    at_p_one = GammaExpansion(
-        n, tuple(g.substitute("p", 1) for g in expansion.gammas))
-    _compare_expansion(
-        at_p_one, dd_free_ascent_inv_table(n), f"sw3_gamma({n}) at p=1")
-    return expansion
+    h = derangement_exc_des_maj_poly(n)
+    return _checked_extract(f"sw3_gamma({n}) at p=1", n, h, n,
+                            dd_free_ascent_inv_table(n))

@@ -1,9 +1,11 @@
 """Sparse exact multivariate polynomials over the fixed alphabet t,r,q,p,y,b.
 
 Coefficients are Python ints (arbitrary precision); terms map exponent
-6-tuples to nonzero coefficients.  "b" is the cycle-counting variable
-(rendered as "b" in ASCII output).  The series variable z is never a
-polynomial variable: truncated series live in series.py.
+6-tuples to nonzero coefficients.  The constructor alone drops zero
+coefficients: arithmetic accumulates every term and leaves the cancelled
+ones to it.  "b" is the cycle-counting variable (rendered as "b" in ASCII
+output).  The series variable z is never a polynomial variable: truncated
+series live in series.py.
 """
 
 from __future__ import annotations
@@ -51,14 +53,9 @@ class MPoly:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "MPoly | int") -> "MPoly":
-        other = _coerce(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+        for e, c in _coerce(other).terms.items():
+            out[e] = out.get(e, 0) + c
         return MPoly(out)
 
     __radd__ = __add__
@@ -78,11 +75,7 @@ class MPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                out[e] = out.get(e, 0) + c1 * c2
         return MPoly(out)
 
     __rmul__ = __mul__
@@ -141,11 +134,7 @@ class MPoly:
             k = e2[i]
             e2[i] = 0
             e2t = tuple(e2)
-            s = out.get(e2t, 0) + c * value**k
-            if s:
-                out[e2t] = s
-            else:
-                out.pop(e2t, None)
+            out[e2t] = out.get(e2t, 0) + c * value**k
         return MPoly(out)
 
     def coefficients_nonnegative(self) -> bool:
@@ -248,16 +237,6 @@ class GammaExpansion:
 
     center: int
     gammas: tuple[MPoly, ...]
-
-    def at_q_one(self) -> tuple[int, ...]:
-        """Each gamma specialized at q=1 (must be constant in the rest)."""
-        out = []
-        for g in self.gammas:
-            c = g
-            for v in VARS:
-                c = c.substitute(v, 1)
-            out.append(c.terms.get(_ZERO_EXP, 0))
-        return tuple(out)
 
 
 def gamma_extract(h: MPoly, center: int) -> GammaExpansion:

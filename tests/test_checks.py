@@ -51,6 +51,12 @@ def test_ceiling_clamps_requested_max_n():
     assert report.n_range == (1, 3)
 
 
+def test_derangement_numbers_from_their_recurrence():
+    """thm-1.2's side that does not enumerate: D_0..D_7."""
+    assert [checks._derangement_number(n) for n in range(8)] == [
+        1, 0, 1, 2, 9, 44, 265, 1854]
+
+
 def test_unknown_id_raises():
     with pytest.raises(KeyError):
         run_check("thm-9.9")

@@ -146,12 +146,20 @@ def test_alternating_counts():
 
 
 def test_extraction_cross_check_raises_on_corruption():
-    from eulerian_gamma.families import _compare_expansion
-    from eulerian_gamma.mpoly import GammaExpansion
+    from eulerian_gamma.families import _checked_extract
+    from eulerian_gamma.mpoly import gamma_sum
 
-    fake = GammaExpansion(center=3, gammas=(ONE, ONE))
-    with pytest.raises(MismatchAgainstDirect):
-        _compare_expansion(fake, {0: ONE, 1: 2 * q}, "fake")
+    h = gamma_sum({0: ONE, 1: ONE}, 3)  # gammas 1, 1 at center 3
+    assert _checked_extract("fake", 3, h, 3, {0: ONE, 1: ONE}).gammas == (ONE, ONE)
+    with pytest.raises(MismatchAgainstDirect,
+                       match=r"^fake: k=1: extracted 1 != direct 2\*q$"):
+        _checked_extract("fake", 3, h, 3, {0: ONE, 1: 2 * q})
+    # a direct k above the extracted range counts the extracted side as 0
+    with pytest.raises(MismatchAgainstDirect,
+                       match=r"^fake: k=2: extracted 0 != direct q$"):
+        _checked_extract("fake", 3, h, 3, {0: ONE, 1: ONE, 2: q})
+    with pytest.raises(ValueError, match="n >= 1 required"):
+        _checked_extract("fake", 0, h, 3, {0: ONE, 1: ONE})
 
 
 def test_gamma_extraction_rejects_wrong_center():

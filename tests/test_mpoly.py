@@ -9,7 +9,6 @@ from eulerian_gamma.errors import NotExpandable, OutOfRange
 from eulerian_gamma.mpoly import (
     MPoly,
     ONE,
-    GammaExpansion,
     gamma_extract,
     gamma_sum,
     one_plus_t_power,
@@ -44,6 +43,9 @@ def test_substitute_and_coeff():
     assert p.coeff_in("t", 2) == ONE
     assert p.degree("t") == 2
     assert MPoly.zero().degree("t") == -1
+    # terms that cancel under substitution are dropped
+    assert (ONE + t).substitute("t", -1).is_zero()
+    assert (ONE + t + q).substitute("t", -1).terms == {(0, 0, 1, 0, 0, 0): 1}
 
 
 def test_rendering():
@@ -115,11 +117,6 @@ def test_gamma_extract_rejects_asymmetric():
         gamma_extract(ONE + 2 * t, center=1)
     with pytest.raises(NotExpandable):
         gamma_extract(t**3, center=2)
-
-
-def test_gamma_expansion_at_q_one():
-    expansion = GammaExpansion(center=3, gammas=(ONE, 2 * q + q**2))
-    assert expansion.at_q_one() == (1, 3)
 
 
 def test_series_product_picks_up_q_binomials():

@@ -7,6 +7,7 @@ so no table computed under a mutant outlives it.
 
 import importlib
 import pkgutil
+from contextlib import contextmanager
 
 import pytest
 
@@ -17,6 +18,7 @@ from eulerian_gamma.errors import NotInDomain
 
 _LYC = bijections.lyc
 _R0_INDEX = families.r0_index
+_WORDS = families.words
 
 
 def _clear_caches():
@@ -89,6 +91,12 @@ def _r0_index_without_leading_1(w):
     return None if w and w[0] == 1 else _R0_INDEX(w)
 
 
+def _words_without_last(n):
+    """S_n without its last word, the reversal n...1: at even n it is a
+    cda-free derangement, so both sides of cyc_gamma lose the same term."""
+    return list(_WORDS(n))[:-1]
+
+
 def _f_inv_hopping_first_letter(w):
     if families.d_tilde_index(w) is None:
         raise NotInDomain("f_inv needs dd(sigma) = 0 and a final ascent")
@@ -98,6 +106,7 @@ def _f_inv_hopping_first_letter(w):
 # (check id, module, name, mutant); a check's first mutant is named by the
 # check id alone, any further one by the check id and the rebound name
 MUTANTS = [
+    ("thm-1.2", families, "words", _words_without_last),
     ("lemma-4.1", actions, "_frozen", _frozen_without_beta1),
     ("lemma-4.1", bijections, "lyc", _lyc_plus_one_on_first_ascent),
     ("thm-1.4", actions, "dd_letters", _dd_letters_but_first),
@@ -117,15 +126,30 @@ def _mutant_ids():
         seen.add(check_id)
 
 
-@pytest.mark.parametrize("check_id, module, name, mutant", MUTANTS,
-                         ids=list(_mutant_ids()))
-def test_check_fails_on_its_mutant(check_id, module, name, mutant):
+@contextmanager
+def _mutated(module, name, mutant):
     original = getattr(module, name)
     _clear_caches()
     setattr(module, name, mutant)
     try:
-        report = run_check(check_id, max_n=6)
+        yield
     finally:
         setattr(module, name, original)
         _clear_caches()
+
+
+@pytest.mark.parametrize("check_id, module, name, mutant", MUTANTS,
+                         ids=list(_mutant_ids()))
+def test_check_fails_on_its_mutant(check_id, module, name, mutant):
+    with _mutated(module, name, mutant):
+        report = run_check(check_id, max_n=6)
     assert not report.passed, f"{check_id} passed with {name} mutated"
+
+
+def test_size_witness_lists_the_sizes_in_k_order():
+    with _mutated(families, "r0_index", _r0_index_without_leading_1):
+        report = run_check("f-bijection", max_n=4)
+    assert report.witnesses == (
+        "n=4: |R0_nk|, |D~_nk|, |E_nk| differ "
+        "({1: 1, 2: 4}, {1: 1, 2: 5}, {1: 1, 2: 5})",
+    )

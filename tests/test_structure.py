@@ -1,11 +1,12 @@
 """Design guards: S_n is enumerated only through perm.words, the
 enumeration ceiling is defined only as perm.MAX_N, every check is a
 declared per-n claim whose n loop and witness size prefix live in
-checks.run_check alone, the
-rules of the D~, E and R0 families are written only in families, prop-3.4's
-enumerated side uses nothing from rixfact, the kernels a check compares
-(rix and rix_factorize, ai and inv, phi and phi_inv) do not reach each
-other, and the benchmark's tracer still finds every name it rebinds."""
+checks.run_check alone, one function compares a gamma extraction with its
+direct table, the rules of the D~, E and R0 families are written only in
+families, prop-3.4's enumerated side uses nothing from rixfact, the
+kernels a check compares (rix and rix_factorize, ai and inv, phi and
+phi_inv) do not reach each other, and the benchmark's tracer still finds
+every name it rebinds."""
 
 import ast
 import copy
@@ -224,6 +225,32 @@ def test_prop_3_4_enumerated_side_is_independent_of_rixfact():
     mutated = _insert_call(trees, "checks", "_valid_factorizations",
                            "rixfact.rix_factorize(w)")
     assert _references(mutated, "checks", "_valid_factorizations", banned)
+
+
+def _raisers(trees: dict, exc: str) -> list[str]:
+    """module.function of every function that raises exc."""
+    found = []
+    for mod, tree in trees.items():
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and any(
+                isinstance(node, ast.Raise) and node.exc is not None
+                and exc in (_called(node.exc), getattr(node.exc, "id", None))
+                for node in ast.walk(func)
+            ):
+                found.append(f"{mod}.{func.name}")
+    return found
+
+
+def test_one_function_checks_an_extraction_against_direct():
+    """The four gamma tables share one comparison with their direct tables;
+    a second raise of MismatchAgainstDirect would be a second comparison."""
+    trees = _package_trees()
+    found = _raisers(trees, "MismatchAgainstDirect")
+    assert len(found) == 1, f"raise MismatchAgainstDirect in one function: {found}"
+    # the guard fails on a copy of a gamma table that raises it itself
+    mutated = _insert_call(trees, "families", "gamma_basic",
+                           "raise MismatchAgainstDirect('x')")
+    assert len(_raisers(mutated, "MismatchAgainstDirect")) == 2
 
 
 # (module, function, names it must not reach, a call that would reach one):
