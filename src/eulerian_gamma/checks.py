@@ -37,11 +37,10 @@ from __future__ import annotations
 import itertools
 import os
 import time
-import traceback
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from math import comb, factorial
+from typing import NamedTuple
 
 from . import actions, bijections, families, rixfact
 from .mpoly import MPoly, ONE, gamma_extract, gamma_sum, q_binomial
@@ -68,8 +67,7 @@ WITNESS_CAP = 10
 ORBIT_REP_MAX_N = 8
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     check_id: str
     n_range: tuple[int, int]
     passed: bool
@@ -88,8 +86,7 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A statement claimed at every size n = 1..ceiling.
 
     claim(n) yields one witness body per counterexample at size n, without
@@ -639,10 +636,13 @@ def run_check(check_id: str, max_n: int = DEFAULT_MAX_N) -> VerificationReport:
                 if len(witnesses) == WITNESS_CAP:
                     break
         except Exception as exc:  # one failing claim must not lose the run
-            where = traceback.extract_tb(exc.__traceback__)[-1]
+            tb = exc.__traceback__
+            while tb.tb_next is not None:  # the innermost frame raised it
+                tb = tb.tb_next
+            code = tb.tb_frame.f_code
             witnesses.append(
                 f"n={n}: {type(exc).__name__}: {exc} (at "
-                f"{os.path.basename(where.filename)}:{where.lineno} in {where.name})"
+                f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name})"
             )
         if len(witnesses) >= WITNESS_CAP:
             witnesses.append(f"stopped at n={n} after {WITNESS_CAP} witnesses")

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import actions, bijections, checks, families, rixfact
 from .errors import (
@@ -218,6 +217,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if workers <= 1:
         reports = [_run_one(job) for job in jobs]
     else:
+        # loaded here: a serial run never pays for the pool's imports
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_one, jobs))
     # restore the requested emission order regardless of worker count

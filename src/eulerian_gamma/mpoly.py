@@ -10,9 +10,8 @@ series live in series.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import NotExpandable, OutOfRange
 
@@ -231,8 +230,7 @@ def gamma_sum(gammas: Mapping[int, MPoly], center: int) -> MPoly:
     return total
 
 
-@dataclass(frozen=True)
-class GammaExpansion:
+class GammaExpansion(NamedTuple):
     """h(t) = sum_k gammas[k] * t^k * (1+t)^(center - 2k)."""
 
     center: int

@@ -11,8 +11,7 @@ letter is a valley and valley = peak + 1 for every n >= 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, NotABijection
 
@@ -190,8 +189,7 @@ def is_derangement(w: Sequence[int]) -> bool:
 
 # --- statistic bundle -----------------------------------------------------
 
-@dataclass(frozen=True)
-class StatisticBundle:
+class StatisticBundle(NamedTuple):
     """Every statistic of one permutation; the fields are in output order."""
 
     exc: int
@@ -216,11 +214,10 @@ class StatisticBundle:
 
     def as_dict(self) -> dict:
         """Field name -> value, in field order; sets as sorted lists."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = sorted(value) if isinstance(value, frozenset) else value
-        return out
+        return {
+            name: sorted(value) if isinstance(value, frozenset) else value
+            for name, value in zip(self._fields, self)
+        }
 
 
 def statistics(w: WordT) -> StatisticBundle:

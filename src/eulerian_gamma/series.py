@@ -14,14 +14,32 @@ function arithmetic is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .mpoly import MPoly, q_binomial
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    coeffs: tuple[MPoly, ...]  # slot n is the coefficient of z^n over (q;q)_n
+    """Immutable; equal when the slots are.  Not a tuple: s[n] is slot n
+    and s * t is the Cauchy product."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[MPoly, ...]):
+        # slot n is the coefficient of z^n over (q;q)_n
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("TruncatedSeries is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"TruncatedSeries({self.coeffs!r})"
 
     @property
     def order(self) -> int:

@@ -5,6 +5,7 @@ in a claim into a failed report.  The orbit and bijection checks run each
 kernel once per word."""
 
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +85,20 @@ def test_exception_in_claim_is_a_failed_report(monkeypatch):
         for n in range(1, 6)
     )
     assert passed.check_id == "table-1" and passed.passed
+
+
+def test_exception_witness_names_the_innermost_frame(monkeypatch):
+    """remark-3.7 -> families.tally -> its key -> maj, here f_map, which
+    raises on (1, 2, 3): the witness names f_map, not the claim's callee."""
+    monkeypatch.setattr(checks, "maj", bijections.f_map)
+    raise_line = 'raise NotInDomain("f needs rix(sigma) = 0 and dd(sigma) = 1")'
+    source = Path(bijections.__file__).read_text().splitlines()
+    line = [s.strip() for s in source].index(raise_line) + 1
+    report = run_check("remark-3.7-negative", max_n=3)
+    assert report.witnesses == (
+        "n=3: NotInDomain: f needs rix(sigma) = 0 and dd(sigma) = 1 "
+        f"(at bijections.py:{line} in f_map)",
+    )
 
 
 def test_witness_is_prefixed_with_its_size(monkeypatch):

@@ -2,6 +2,10 @@
 exit-code contract (0 success, 1 verification/domain failure, 2 usage)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -268,10 +272,9 @@ def test_verify_contains_a_failing_check(capsys, monkeypatch):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Replaces cli's ProcessPoolExecutor by an in-process stand-in and
-    returns the max_workers of every pool verify asked for."""
-    from eulerian_gamma import cli
-
+    """Replaces ProcessPoolExecutor, where verify imports it from when it
+    starts a pool, by an in-process stand-in and returns the max_workers of
+    every pool verify asked for."""
     sizes = []
 
     class FakePool:
@@ -287,7 +290,7 @@ def pool_sizes(monkeypatch):
         def map(self, func, jobs):
             return map(func, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     return sizes
 
 
@@ -309,6 +312,58 @@ def test_verify_negative_threads_exits_2(capsys, pool_sizes):
     assert out == ""
     assert len(err.splitlines()) == 1 and "--threads" in err
     assert pool_sizes == []
+
+
+# Runs each argv given as JSON through cli.main in one fresh process and
+# prints every (exit code, stdout) and the modules loaded by then.
+_PROBE = """
+import io, json, sys
+from eulerian_gamma import cli
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    sys.stdout = io.StringIO()
+    code = cli.main(argv)
+    outputs.append((code, sys.stdout.getvalue()))
+    sys.stdout = sys.__stdout__
+print(json.dumps({"outputs": outputs, "modules": sorted(sys.modules)}))
+"""
+
+_SERIAL_UNUSED = {"concurrent.futures", "multiprocessing", "dataclasses",
+                  "inspect", "traceback"}
+_VERIFY = ["verify", "table-1", "eq-qmul", "--max-n", "4", "--threads"]
+
+
+def _probe(*argvs):
+    """Run the argvs in one `python -S` process with only the package's
+    source on the path; returns its outputs and loaded module names."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    env.pop("EULERIAN_GAMMA_MAX_N", None)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _PROBE, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(proc.stdout)
+    return result["outputs"], set(result["modules"])
+
+
+def _reports_without_timing(out):
+    reports = [json.loads(line) for line in out.splitlines()]
+    for report in reports:
+        del report["elapsed_ms"]
+    return reports
+
+
+def test_serial_commands_load_neither_the_pool_nor_dataclasses():
+    outputs, modules = _probe(
+        _VERIFY + ["1"], ["stats", "4132"], ["gamma", "basic", "5"],
+        ["map", "phi", "4132"], ["rixfact", "4132"], ["orbit", "4132"],
+    )
+    assert [code for code, _ in outputs] == [0] * 6
+    assert not _SERIAL_UNUSED & modules
+    [(code, out)], pool_modules = _probe(_VERIFY + ["2"])
+    assert code == 0
+    assert "concurrent.futures" in pool_modules
+    assert _reports_without_timing(out) == _reports_without_timing(outputs[0][1])
 
 
 def test_map_phi_worked_example(capsys):

@@ -142,6 +142,15 @@ def test_series_product_truncates_to_shorter_order():
     assert (a * b) == (b * a) == TruncatedSeries((ONE, t + ONE))
 
 
+def test_series_is_an_immutable_value_not_a_tuple():
+    a = TruncatedSeries((ONE, t))
+    assert a == TruncatedSeries((ONE, t)) and hash(a) == hash(TruncatedSeries((ONE, t)))
+    assert a != TruncatedSeries((ONE, q)) and a != (ONE, t)
+    with pytest.raises(AttributeError):
+        a.coeffs = (ONE,)
+    assert a.coeffs == (ONE, t)
+
+
 def test_series_exp_functional_equation():
     """e(z;q) * e(tz;q) slotwise equals the series with slot n equal to
     sum_i [n i]_q t^(n-i)."""

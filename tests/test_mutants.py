@@ -12,13 +12,17 @@ from contextlib import contextmanager
 import pytest
 
 import eulerian_gamma
-from eulerian_gamma import actions, bijections, checks, families, perm, rixfact
+from eulerian_gamma import actions, bijections, checks, families, mpoly, perm, rixfact
 from eulerian_gamma.checks import run_check
 from eulerian_gamma.errors import NotInDomain
 
 _LYC = bijections.lyc
 _R0_INDEX = families.r0_index
 _WORDS = families.words
+_CYC_COUNT = perm.cyc_count
+_Q_BINOMIAL = mpoly.q_binomial
+_GAMMA_SUM = mpoly.gamma_sum
+_RIX = rixfact.rix
 
 
 def _clear_caches():
@@ -103,6 +107,24 @@ def _f_inv_hopping_first_letter(w):
     return actions.mfs_single(w, w[0])
 
 
+def _cyc_count_plus_one_on_derangements(w):
+    return _CYC_COUNT(w) + (len(w) >= 4 and perm.is_derangement(w))
+
+
+def _q_binomial_without_top_term(n, k):
+    full = _Q_BINOMIAL(n, k)
+    top = max(full.terms)
+    return mpoly.MPoly({e: c for e, c in full.terms.items() if e != top})
+
+
+def _gamma_sum_center_plus_one(gammas, center):
+    return _GAMMA_SUM(gammas, center + 1)
+
+
+def _rix_plus_one_ending_in_1(w):
+    return _RIX(w) + (bool(w) and w[-1] == 1)
+
+
 # (check id, module, name, mutant); a check's first mutant is named by the
 # check id alone, any further one by the check id and the rebound name
 MUTANTS = [
@@ -116,6 +138,10 @@ MUTANTS = [
     ("prop-3.5", bijections, "phi", _phi_beta_rest_reversed),
     ("f-bijection", bijections, "f_inv", _f_inv_hopping_first_letter),
     ("f-bijection", families, "r0_index", _r0_index_without_leading_1),
+    ("eq-cycle-bis", families, "cyc_count", _cyc_count_plus_one_on_derangements),
+    ("eq-qmul", checks, "q_binomial", _q_binomial_without_top_term),
+    ("thm-1.1", checks, "gamma_sum", _gamma_sum_center_plus_one),
+    ("prop-3.2", rixfact, "rix", _rix_plus_one_ending_in_1),
 ]
 
 
