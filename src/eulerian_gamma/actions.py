@@ -76,7 +76,8 @@ def restricted_mfs(w: WordT, labels: Iterable[int]) -> WordT:
     return w
 
 
-def _mfs_hops(w: WordT) -> list[WordT]:
+def mfs_hops(w: WordT) -> list[WordT]:
+    """[phi_1'(w), ..., phi_n'(w)]."""
     return [mfs_single(w, x) for x in range(1, len(w) + 1)]
 
 
@@ -86,7 +87,7 @@ def restricted_hops(w: WordT) -> list[WordT]:
     return [w if x in frozen else mfs_single(w, x) for x in range(1, len(w) + 1)]
 
 
-_HOPS = {"mfs": _mfs_hops, "restricted": restricted_hops}
+_HOPS = {"mfs": mfs_hops, "restricted": restricted_hops}
 
 
 def orbit(start: WordT, action: str = "mfs") -> set[WordT]:

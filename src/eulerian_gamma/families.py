@@ -16,12 +16,13 @@ derangement, as in every family polynomial at n = 0.
 
 Everything else is a direct sum over permutations, apart from the four
 gamma tables (gamma_basic, gamma_derangement, cyc_gamma, sw3_gamma).
-Each is one call of _checked_extract, which extracts gamma coefficients
-from a family polynomial with mpoly.gamma_extract and raises
-MismatchAgainstDirect unless their p = 1 specializations equal the direct
-sums of a k-table at every k of either (only sw3_gamma's polynomial has
-a p).  The other structured routes (recurrences, series, bijections) live
-in checks.py, so the two sides stay independent.
+Each is one call of _checked_extract, the only caller of
+mpoly.gamma_extract in the package, which extracts gamma coefficients
+from a family polynomial and raises MismatchAgainstDirect unless their
+p = 1 specializations equal the direct sums of a k-table at every k of
+either (only sw3_gamma's polynomial has a p).  The other structured
+routes (recurrences, series, bijections) live in checks.py, so the two
+sides stay independent.
 Each family is a filter on S_n plus a key: the key maps a word to its
 exponent 6-tuple (t, r, q, p, y, b), and `tally` counts the keys in plain
 dicts for speed before wrapping into MPoly; `table` does the same per

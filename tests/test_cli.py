@@ -221,6 +221,19 @@ def test_verify_pass(capsys):
         }
 
 
+def test_a_check_made_at_one_size_says_so_below_it(capsys):
+    """At --max-n 2 neither check compares anything, yet both pass with
+    n_range [1, 2]; the note names the one size each is checked at."""
+    code, out, _ = run_cli(
+        capsys, "verify", "remark-3.7-negative", "table-1", "--max-n", "2"
+    )
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [(d["n_range"], d["passed"]) for d in reports] == [([1, 2], True)] * 2
+    assert "checked at n = 3 only" in reports[0]["notes"]
+    assert "checked at n = 4 only" in reports[1]["notes"]
+
+
 def test_verify_all_exercises_registry(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "4")
     assert code == 0

@@ -23,6 +23,7 @@ _CYC_COUNT = perm.cyc_count
 _Q_BINOMIAL = mpoly.q_binomial
 _GAMMA_SUM = mpoly.gamma_sum
 _RIX = rixfact.rix
+_MFS_SINGLE = actions.mfs_single
 
 
 def _clear_caches():
@@ -125,6 +126,21 @@ def _rix_plus_one_ending_in_1(w):
     return _RIX(w) + (bool(w) and w[-1] == 1)
 
 
+def _mfs_as_foata_strehl(w, x):
+    """phi_x in place of phi_x': peaks and valleys hop too."""
+    return actions.foata_strehl(w, x)
+
+
+def _mfs_never_hopping_n(w, x):
+    return w if x == len(w) else _MFS_SINGLE(w, x)
+
+
+def _framed_with_boundary_0(w):
+    """sigma_0 = sigma_{n+1} = 0 in place of +infinity."""
+    p = (0, *w, 0)
+    return zip(p, p[1:], p[2:])
+
+
 # (check id, module, name, mutant); a check's first mutant is named by the
 # check id alone, any further one by the check id and the rebound name
 MUTANTS = [
@@ -142,6 +158,9 @@ MUTANTS = [
     ("eq-qmul", checks, "q_binomial", _q_binomial_without_top_term),
     ("thm-1.1", checks, "gamma_sum", _gamma_sum_center_plus_one),
     ("prop-3.2", rixfact, "rix", _rix_plus_one_ending_in_1),
+    ("lemma-2.1", actions, "mfs_single", _mfs_as_foata_strehl),
+    ("thm-1.4", actions, "mfs_single", _mfs_never_hopping_n),
+    ("thm-1.3", perm, "_framed", _framed_with_boundary_0),
 ]
 
 
@@ -178,4 +197,26 @@ def test_size_witness_lists_the_sizes_in_k_order():
     assert report.witnesses == (
         "n=4: |R0_nk|, |D~_nk|, |E_nk| differ "
         "({1: 1, 2: 4}, {1: 1, 2: 5}, {1: 1, 2: 5})",
+    )
+
+
+def test_hop_witness_names_the_label_and_the_word():
+    """thm-1.4's orbit-representative part reports each hop that changes
+    a representative, through the one hop walk."""
+    with _mutated(actions, "mfs_single", _mfs_as_foata_strehl):
+        report = run_check("thm-1.4", max_n=3)
+    assert report.witnesses == (
+        "n=3: rep changed by hop of 3 on (1, 3, 2)",
+        "n=3: rep changed by hop of 3 on (2, 3, 1)",
+    )
+
+
+def test_exp_fixed_witness_names_j():
+    with _mutated(checks, "q_binomial", _q_binomial_without_top_term):
+        report = run_check("eq-exp-fixed", max_n=3)
+    assert report.witnesses == (
+        "n=1: j=1: exp-fixed identity fails",
+        "n=2: j=2: exp-fixed identity fails",
+        "n=3: j=1: exp-fixed identity fails",
+        "n=3: j=3: exp-fixed identity fails",
     )

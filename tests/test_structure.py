@@ -1,12 +1,12 @@
 """Design guards: S_n is enumerated only through perm.words, the
 enumeration ceiling is defined only as perm.MAX_N, every check is a
 declared per-n claim whose n loop and witness size prefix live in
-checks.run_check alone, one function compares a gamma extraction with its
-direct table, the rules of the D~, E and R0 families are written only in
-families, prop-3.4's enumerated side uses nothing from rixfact, the
-kernels a check compares (rix and rix_factorize, ai and inv, phi and
-phi_inv) do not reach each other, and the benchmark's tracer still finds
-every name it rebinds."""
+checks.run_check alone, one function extracts gammas and compares them
+with their direct table, the rules of the D~, E and R0 families are
+written only in families, prop-3.4's enumerated side uses nothing from
+rixfact, the kernels a check compares (rix and rix_factorize, ai and inv,
+phi and phi_inv) do not reach each other, and the benchmark's tracer
+still finds every name it rebinds."""
 
 import ast
 import copy
@@ -251,6 +251,32 @@ def test_one_function_checks_an_extraction_against_direct():
     mutated = _insert_call(trees, "families", "gamma_basic",
                            "raise MismatchAgainstDirect('x')")
     assert len(_raisers(mutated, "MismatchAgainstDirect")) == 2
+
+
+def _referrers(trees: dict, name: str) -> list[str]:
+    """module.function of every function that names name."""
+    found = []
+    for mod, tree in trees.items():
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and any(
+                name in (getattr(node, "id", None), getattr(node, "attr", None))
+                for node in ast.walk(func)
+            ):
+                found.append(f"{mod}.{func.name}")
+    return found
+
+
+def test_only_checked_extract_extracts_gammas():
+    """A claim that extracted gammas would compare them with a table of its
+    own, beside _checked_extract; an identity in the gamma basis is checked
+    as polynomial equality instead."""
+    trees = _package_trees()
+    found = _referrers(trees, "gamma_extract")
+    assert found == ["families._checked_extract"], f"gamma_extract in {found}"
+    # the guard fails on a copy of a claim that extracts
+    mutated = _insert_call(trees, "checks", "_exp_fixed", "gamma_extract(ONE, 0)")
+    assert _referrers(mutated, "gamma_extract") == [
+        "checks._exp_fixed", "families._checked_extract"]
 
 
 # (module, function, names it must not reach, a call that would reach one):
