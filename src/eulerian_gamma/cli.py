@@ -49,10 +49,6 @@ _FLAGS = {
         default=1,
         help="verification workers (0 = auto, default 1; at most one per check)",
     ),
-    "--group-by-t": dict(
-        action="store_true",
-        help="group polynomial output by powers of t",
-    ),
 }
 
 
@@ -81,11 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gamma = command(
         "gamma", cmd_gamma, "gamma coefficient table",
-        "--max-n", "--group-by-t", outputs=("text", "json", "tsv"),
+        "--max-n", outputs=("text", "json", "tsv"),
     )
-    p_gamma.add_argument(
-        "family", choices=("basic", "derangement", "cyc", "sw3")
-    )
+    p_gamma.add_argument("family", choices=_GAMMA_FAMILIES)
     p_gamma.add_argument("n", type=int)
 
     p_verify = command(
@@ -100,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_map = command("map", cmd_map, "apply a bijection")
-    p_map.add_argument("name", choices=("phi", "phi-inv", "f", "f-inv"))
+    p_map.add_argument("name", choices=_MAPS)
     p_map.add_argument("perm")
 
     p_orbit = command(
@@ -172,10 +166,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
     except (MismatchAgainstDirect, NotExpandable) as exc:
         print(f"internal cross-check failed: {exc}", file=sys.stderr)
         return 1
-    rows = [
-        (k, g.to_text_grouped() if args.group_by_t else g.to_text_compact())
-        for k, g in enumerate(expansion.gammas)
-    ]
+    rows = [(k, g.to_text_compact()) for k, g in enumerate(expansion.gammas)]
     if args.output == "json":
         print(
             json.dumps(

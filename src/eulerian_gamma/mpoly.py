@@ -156,24 +156,6 @@ class MPoly:
         """Render without spaces or '*', e.g. "2q+3q^2+2q^3+q^4"."""
         return _render(self, "", "")
 
-    def to_text_grouped(self) -> str:
-        """Render grouped by powers of t, e.g. "1 + (3+2q)t + t^2"."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for k in range(self.degree("t") + 1):
-            coeff = self.coeff_in("t", k)
-            if coeff.is_zero():
-                continue
-            head = "t" if k == 1 else f"t^{k}"
-            if k == 0:
-                parts.append(coeff.to_text_compact())
-            elif coeff == MPoly.const(1):
-                parts.append(head)
-            else:
-                parts.append(f"({coeff.to_text_compact()}){head}")
-        return " + ".join(parts)
-
 
 def _render(p: MPoly, times: str, space: str) -> str:
     """Terms in graded-lex order; times joins factors and coefficients,

@@ -155,8 +155,6 @@ def admissible_inversion_count(w: Sequence[int]) -> int:
     from that next greater letter on otherwise.
     """
     n = len(w)
-    if len(set(w)) != n:
-        raise ValueError("word letters must be distinct")
     total = 0
     left = n + 1  # no left ascent into w_1
     for i in range(n):

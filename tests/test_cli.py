@@ -154,14 +154,13 @@ def test_env_var_is_read_only_by_subcommands_with_max_n(capsys, monkeypatch):
 # subcommand -> (positional arguments, the common flags it reads)
 SUBCOMMAND_FLAGS = {
     "stats": (["213"], {"--output"}),
-    "gamma": (["basic", "4"], {"--max-n", "--output", "--group-by-t"}),
+    "gamma": (["basic", "4"], {"--max-n", "--output"}),
     "verify": (["table-1"], {"--max-n", "--output", "--threads"}),
     "map": (["phi", "213"], set()),
     "orbit": (["213"], {"--max-n", "--output"}),
     "rixfact": (["213"], set()),
 }
-COMMON_FLAGS = {"--max-n": ["4"], "--output": ["json"], "--threads": ["1"],
-                "--group-by-t": []}
+COMMON_FLAGS = {"--max-n": ["4"], "--output": ["json"], "--threads": ["1"]}
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
@@ -180,7 +179,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
         for name, (_, flags) in SUBCOMMAND_FLAGS.items()
         for flag in flags
     }
-    assert len(accepted) == 9
+    assert len(accepted) == 8
 
 
 def test_unread_flag_is_a_usage_error(capsys):
@@ -188,6 +187,14 @@ def test_unread_flag_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments: --output json" in err
+
+
+def test_gamma_has_no_group_by_t(capsys):
+    """gamma coefficients have no t in them, so there is nothing to group."""
+    code, out, err = run_cli(capsys, "gamma", "basic", "4", "--group-by-t")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --group-by-t" in err
 
 
 def test_output_offers_only_the_formats_rendered(capsys):

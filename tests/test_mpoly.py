@@ -52,10 +52,6 @@ def test_rendering():
     p = 2 * q + 3 * q**2
     assert p.to_text() == "2*q + 3*q^2"
     assert p.to_text_compact() == "2q+3q^2"
-    a4 = (ONE + t) ** 3 + (2 * q + 3 * q**2 + 2 * q**3 + q**4) * t * (ONE + t)
-    assert a4.to_text_grouped() == (
-        "1 + (3+2q+3q^2+2q^3+q^4)t + (3+2q+3q^2+2q^3+q^4)t^2 + t^3"
-    )
 
 
 def test_q_binomial_against_subset_oracle():

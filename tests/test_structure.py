@@ -5,12 +5,15 @@ checks.run_check alone, one function extracts gammas and compares them
 with their direct table, the rules of the D~, E and R0 families are
 written only in families, prop-3.4's enumerated side uses nothing from
 rixfact, the kernels a check compares (rix and rix_factorize, ai and inv,
-phi and phi_inv) do not reach each other, and the benchmark's tracer
-still finds every name it rebinds."""
+phi and phi_inv) do not reach each other, the benchmark's tracer
+still finds every name it rebinds, and each module imports on its own
+without loading the verification harness it does not use."""
 
 import ast
 import copy
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -335,3 +338,30 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
     changed = sorted(str(key) for key in before
                      if after.get(key) is not before[key])
     assert not changed, f"not restored by Tracer.uninstall(): {changed}"
+
+
+def _loaded_after_import(module: str) -> set[str]:
+    """The package modules loaded by importing eulerian_gamma.<module> in a
+    fresh interpreter without site-packages."""
+    probe = (f"import sys, eulerian_gamma.{module}; "
+             "print(' '.join(m for m in sys.modules if m.startswith('eulerian_gamma.')))")
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+        env={"PYTHONPATH": str(PACKAGE.parent)}, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    return {name.split(".", 1)[1] for name in result.stdout.split()}
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__"))
+def test_each_module_imports_on_its_own(module):
+    assert module in _loaded_after_import(module)
+
+
+def test_kernel_import_leaves_the_harness_unloaded():
+    """The package entry point re-exports nothing, so a kernel module loads
+    only what it imports itself."""
+    loaded = _loaded_after_import("perm")
+    harness = loaded & {"checks", "families", "mpoly", "series"}
+    assert not harness, f"import eulerian_gamma.perm loaded {sorted(harness)}"
