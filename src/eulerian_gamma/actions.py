@@ -4,7 +4,7 @@ phi_x swaps the maximal small-letter blocks around x; the modified action
 phi_x' only moves double ascents / double descents; the restricted action
 phi_x'' additionally freezes beta1 and all rixed points.  Set actions
 apply singleton generators in ascending label order (they commute, which
-the test suite checks exhaustively).
+the action-axioms check verifies on S_n).
 """
 
 from __future__ import annotations

@@ -22,7 +22,9 @@ A per-word claim computes each per-word value once per word, in a dict
 over words(n) that _hop_changes walks along every hop: thm-1.4's
 canonical_rep and lemma-2.1's ai under actions.mfs_hops, lemma-4.1's
 interned (beta1, RIX), factor type and lyc under actions.restricted_hops,
-which takes a word's n hops from one factorization.  prop-3.5 and
+which takes a word's n hops from one factorization.  action-axioms
+composes two hops, so it walks its own table of every word's n hop
+images under each action, and names an image outside S_n.  prop-3.5 and
 f-bijection each prove a bijection one way: the inverse undoes the map on
 every word of the domain, so the map is injective.  phi's images are
 words of S_n, so it is a bijection of S_n; f-bijection adds a count,
@@ -197,6 +199,30 @@ def _thm_1_5(n: int):
 def _lemma_1_7(n: int):
     if families.basic_eulerian(n) != families.basic_eulerian_desrix(n):
         yield "(exc,fix,maj-exc) != (des,rix,ai) polynomial"
+
+
+def _action_axioms(n: int):
+    """Each of the three actions is a Z_2^n action on S_n: every hop is an
+    involution and any two hops commute.  Each word's n hop images are
+    computed once, in one table per action, and every image is looked up
+    there.  These laws compose two hops, so they are not the invariance of
+    a value along one hop that _hop_changes walks."""
+    hops = (("phi", actions.foata_strehl), ("phi'", actions.mfs_single),
+            ("phi''", actions.restricted_mfs_single))
+    for name, hop in hops:
+        table = {w: [hop(w, x) for x in range(1, n + 1)] for w in words(n)}
+        for w, images in table.items():
+            rows = [table.get(image) for image in images]
+            for x, row in enumerate(rows, start=1):
+                if row is None:
+                    yield f"{name}_{x}({w}) = {images[x - 1]} is not a word of S_{n}"
+                elif row[x - 1] != w:
+                    yield f"{name}_{x} is not an involution on {w}"
+            if None in rows:
+                continue
+            for x, y in itertools.combinations(range(1, n + 1), 2):
+                if rows[x - 1][y - 1] != rows[y - 1][x - 1]:
+                    yield f"{name}_{x} and {name}_{y} do not commute on {w}"
 
 
 def _lemma_2_1(n: int):
@@ -576,6 +602,7 @@ CHECKS: dict[str, Check] = {
     )),
     "thm-1.5": Check(9, _thm_1_5),
     "lemma-1.7": Check(9, _lemma_1_7),
+    "action-axioms": Check(7, _action_axioms),
     "lemma-2.1": Check(8, _lemma_2_1),
     "lemma-2.2": Check(8, _lemma_2_2),
     "prop-3.2": Check(8, _prop_3_2),

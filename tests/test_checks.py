@@ -14,7 +14,7 @@ from eulerian_gamma.checks import CHECKS, WITNESS_CAP, Check, run_check, run_che
 
 EXPECTED_IDS = {
     "thm-1.1", "thm-1.2", "thm-1.3", "thm-1.4", "thm-1.5",
-    "lemma-1.7", "lemma-2.1", "lemma-2.2",
+    "lemma-1.7", "action-axioms", "lemma-2.1", "lemma-2.2",
     "prop-3.2", "prop-3.4", "prop-3.5",
     "f-bijection", "lemma-4.1", "lemma-4.2",
     "prop-5.1", "prop-5.2",

@@ -146,6 +146,7 @@ def _framed_with_boundary_0(w):
 MUTANTS = [
     ("thm-1.2", families, "words", _words_without_last),
     ("lemma-4.1", actions, "_frozen", _frozen_without_beta1),
+    ("action-axioms", actions, "_frozen", _frozen_without_beta1),
     ("lemma-4.1", bijections, "lyc", _lyc_plus_one_on_first_ascent),
     ("thm-1.4", actions, "dd_letters", _dd_letters_but_first),
     ("lemma-2.1", checks, "admissible_inversion_count", _ai_plus_one_on_dd),
@@ -209,6 +210,22 @@ def test_hop_witness_names_the_label_and_the_word():
         "n=3: rep changed by hop of 3 on (1, 3, 2)",
         "n=3: rep changed by hop of 3 on (2, 3, 1)",
     )
+
+
+def test_axiom_witness_names_the_action_the_label_and_the_word():
+    with _mutated(actions, "_frozen", _frozen_without_beta1):
+        report = run_check("action-axioms", max_n=3)
+    assert report.witnesses == (
+        "n=2: phi''_2 is not an involution on (2, 1)",
+        "n=3: phi''_2 is not an involution on (2, 1, 3)",
+        "n=3: phi''_3 is not an involution on (3, 1, 2)",
+        "n=3: phi''_2 and phi''_3 do not commute on (3, 1, 2)",
+        "n=3: phi''_3 is not an involution on (3, 2, 1)",
+    )
+    # an image outside S_n is named, not looked up
+    with _mutated(actions, "foata_strehl", lambda w, x: (*w, x)):
+        report = run_check("action-axioms", max_n=1)
+    assert report.witnesses == ("n=1: phi_1((1,)) = (1, 1) is not a word of S_1",)
 
 
 def test_exp_fixed_witness_names_j():

@@ -6,7 +6,8 @@ with their direct table, the rules of the D~, E and R0 families are
 written only in families, prop-3.4's enumerated side uses nothing from
 rixfact, the kernels a check compares (rix and rix_factorize, ai and inv,
 phi and phi_inv) do not reach each other, the benchmark's tracer
-still finds every name it rebinds, and each module imports on its own
+still finds every name it rebinds, every check the benchmark requests is
+registered with the ceiling it expects, and each module imports on its own
 without loading the verification harness it does not use."""
 
 import ast
@@ -338,6 +339,32 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
     changed = sorted(str(key) for key in before
                      if after.get(key) is not before[key])
     assert not changed, f"not restored by Tracer.uninstall(): {changed}"
+
+
+def _contract_breaks(registry: dict, reference: dict, max_n: int) -> list[str]:
+    """Each benchmark id the registry lacks or checks to another size:
+    the benchmark expects n_range [1, min(max_n, its ceiling)]."""
+    return [f"{cid}: {registry.get(cid)} for {ceiling}"
+            for cid, ceiling in reference.items()
+            if cid not in registry or min(max_n, registry[cid]) != min(max_n, ceiling)]
+
+
+def test_registry_meets_the_benchmark_ceilings(monkeypatch):
+    """A check the benchmark requests must be registered and reach the
+    n_range perfbench/reference.py expects at VERIFY_MAX_N; a ceiling
+    change it would count as wrong output fails here, not in a run."""
+    from eulerian_gamma.checks import CHECKS
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    ceilings = importlib.import_module("reference").CEILINGS
+    max_n = importlib.import_module("workloads").VERIFY_MAX_N
+    registry = {cid: check.ceiling for cid, check in CHECKS.items()}
+    assert not _contract_breaks(registry, ceilings, max_n)
+    # the guard fails on a registry with prop-5.1 raised to 9 or one id gone
+    assert _contract_breaks({**registry, "prop-5.1": 9}, ceilings, max_n) == [
+        "prop-5.1: 9 for 6"]
+    registry.pop("table-1")
+    assert _contract_breaks(registry, ceilings, max_n) == ["table-1: None for 4"]
 
 
 def _loaded_after_import(module: str) -> set[str]:
