@@ -595,10 +595,15 @@ def _table_1(n: int):
 
 CHECKS: dict[str, Check] = {
     "thm-1.1": Check(9, _thm_1_1),
-    "thm-1.2": Check(9, _thm_1_2),
+    "thm-1.2": Check(9, _thm_1_2, (
+        "both enumerated sides count cycles with cyc_count and the D_n side "
+        "sets b = 1, so a cyc_count bug passes here; eq-cycle-bis catches it",
+    )),
     "thm-1.3": Check(9, _thm_1_3),
     "thm-1.4": Check(9, _thm_1_4, (
         f"orbit-representative part checked for n <= {ORBIT_REP_MAX_N}",
+        "canonical_rep and the hop walk both call actions.mfs_single, so a "
+        "bug they share shows only in the dd-free test of the representative",
     )),
     "thm-1.5": Check(9, _thm_1_5),
     "lemma-1.7": Check(9, _lemma_1_7),

@@ -3,6 +3,11 @@ bijections, orbits, and rix-factorizations.
 
 Exit-code contract: 0 success, 1 verification/domain failure, 2 usage
 error (including unparseable permutations and unknown check ids).
+
+Start-up loads only what parsing and the table commands need: perm,
+rixfact and families (with mpoly).  verify loads checks (with series,
+actions and bijections), orbit loads actions and map loads bijections,
+each when the subcommand runs.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import json
 import os
 import sys
 
-from . import actions, bijections, checks, families, rixfact
+from . import families, rixfact
 from .errors import (
     BudgetExceeded,
     MismatchAgainstDirect,
@@ -20,7 +25,6 @@ from .errors import (
     NotExpandable,
     NotInDomain,
 )
-from .mpoly import GammaExpansion
 from .perm import (
     DEFAULT_MAX_N,
     MAX_N,
@@ -55,7 +59,8 @@ _FLAGS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eulerian-gamma",
-        description=__doc__,
+        # the last paragraph, on module loading, is not for --help
+        description=__doc__.rsplit("\n\n", 1)[0],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -162,7 +167,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
     if args.n < 1 or args.n > args.max_n:
         raise UsageError(f"n must be in 1..{args.max_n}")
     try:
-        expansion: GammaExpansion = _GAMMA_FAMILIES[args.family](args.n)
+        expansion = _GAMMA_FAMILIES[args.family](args.n)
     except (MismatchAgainstDirect, NotExpandable) as exc:
         print(f"internal cross-check failed: {exc}", file=sys.stderr)
         return 1
@@ -187,12 +192,17 @@ def cmd_gamma(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_one(item: tuple[str, int]) -> checks.VerificationReport:
+def _run_one(item: tuple[str, int]):
+    from . import checks
+
     check_id, max_n = item
     return checks.run_check(check_id, max_n)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # loaded before any pool starts, so forked workers inherit it
+    from . import checks
+
     if args.check_ids == ["all"]:
         ids = list(checks.CHECKS)
     else:
@@ -227,22 +237,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+# map names and the bijections functions they apply
 _MAPS = {
-    "phi": bijections.phi,
-    "phi-inv": bijections.phi_inv,
-    "f": bijections.f_map,
-    "f-inv": bijections.f_inv,
+    "phi": "phi",
+    "phi-inv": "phi_inv",
+    "f": "f_map",
+    "f-inv": "f_inv",
 }
 
 
 def cmd_map(args: argparse.Namespace) -> int:
+    from . import bijections
+
     w = parse_permutation(args.perm)
-    image = _MAPS[args.name](w)
+    image = getattr(bijections, _MAPS[args.name])(w)
     print(format_word(image))
     return 0
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
+    from . import actions
+
     max_n = args.max_n
     w = parse_permutation(args.perm)
     # each double descent and double ascent toggles independently, so an

@@ -386,6 +386,18 @@ def test_serial_commands_load_neither_the_pool_nor_dataclasses():
     assert _reports_without_timing(out) == _reports_without_timing(outputs[0][1])
 
 
+def test_worked_example_commands_leave_the_harness_unloaded():
+    """stats, gamma, map, rixfact and orbit never load the verification
+    harness; only verify does."""
+    outputs, modules = _probe(
+        ["stats", "4132"], ["gamma", "basic", "5"], ["map", "phi", "4132"],
+        ["rixfact", "4132"], ["orbit", "4132"],
+    )
+    assert [code for code, _ in outputs] == [0] * 5
+    harness = {"eulerian_gamma.checks", "eulerian_gamma.series"} & modules
+    assert not harness, f"loaded {sorted(harness)}"
+
+
 def test_map_phi_worked_example(capsys):
     code, out, _ = run_cli(capsys, "map", "phi", "7,6,9,1,8,4,2,3,5,10")
     assert code == 0

@@ -237,3 +237,17 @@ def test_exp_fixed_witness_names_j():
         "n=3: j=1: exp-fixed identity fails",
         "n=3: j=3: exp-fixed identity fails",
     )
+
+
+def test_a_blind_spot_is_named_in_the_notes():
+    """thm-1.2 passes a cyc_count bug and thm-1.4 sees an mfs_single bug
+    only as a representative with a double descent; each note says so."""
+    with _mutated(families, "cyc_count", _cyc_count_plus_one_on_derangements):
+        report = run_check("thm-1.2", max_n=6)
+    assert report.passed
+    assert "cyc_count" in report.notes[0] and "eq-cycle-bis" in report.notes[0]
+    with _mutated(actions, "mfs_single", _mfs_never_hopping_n):
+        report = run_check("thm-1.4", max_n=6)
+    assert report.witnesses
+    assert all("has a double descent" in w for w in report.witnesses[:-1])
+    assert "actions.mfs_single" in report.notes[1]

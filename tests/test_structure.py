@@ -392,3 +392,11 @@ def test_kernel_import_leaves_the_harness_unloaded():
     loaded = _loaded_after_import("perm")
     harness = loaded & {"checks", "families", "mpoly", "series"}
     assert not harness, f"import eulerian_gamma.perm loaded {sorted(harness)}"
+
+
+def test_cli_import_leaves_the_lazy_modules_unloaded():
+    """cli imports checks, actions and bijections inside the subcommands
+    that call them, so start-up compiles none of them."""
+    loaded = _loaded_after_import("cli")
+    lazy = loaded & {"checks", "series", "actions", "bijections"}
+    assert not lazy, f"import eulerian_gamma.cli loaded {sorted(lazy)}"
