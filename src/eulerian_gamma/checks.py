@@ -51,6 +51,7 @@ from .perm import (
     DEFAULT_MAX_N,
     admissible_inversion_count,
     dd_count,
+    dd_letters,
     des,
     des_set,
     exc_count,
@@ -344,10 +345,10 @@ def _prop_3_5(n: int):
 
 
 def _f_bijection(n: int):
-    """f sends R0_{n,k} into D~_{n,k}, ending with beta1, and f_inv undoes
-    it.  f_inv(f(w)) == w makes f injective, so with |R0_nk| = |D~_nk| it
-    is a bijection and f_inv its inverse; the D~ sizes are counted
-    without f."""
+    """f sends R0_{n,k} into D~_{n,k}, ending with the letter it hops (beta1,
+    w's only double descent), and f_inv undoes it.  f_inv(f(w)) == w makes
+    f injective, so with |R0_nk| = |D~_nk| it is a bijection and f_inv its
+    inverse; the D~ sizes are counted without f."""
     r0_sizes: Counter = Counter()
     d_tilde_sizes: Counter = Counter()
     for w in words(n):
@@ -360,8 +361,8 @@ def _f_bijection(n: int):
             continue
         r0_sizes[k] += 1
         image = bijections.f_map(w)
-        if image[-1] != rixfact.rix_factorize(w).beta1:
-            yield f"f({w}) does not end with beta1"
+        if image[-1] != dd_letters(w)[0]:
+            yield f"f({w}) does not end with its double descent"
         elif families.d_tilde_index(image) != k:
             yield f"f({w}) = {image} is not in D~_nk for k={k}"
         elif bijections.f_inv(image) != w:
@@ -397,17 +398,16 @@ def _ai_exponent(w) -> tuple:
 
 
 def _lemma_4_2(n: int):
+    terms: Counter = Counter()
     for w in words(n):
         if rixfact.rix(w) == 0:
+            terms[(des(w), 0, admissible_inversion_count(w), 0, 0, 0)] += 1
             rep = actions.canonical_rep(w, "restricted")
             if dd_count(rep) != 1:
                 yield f"restricted rep of {w} has dd != 1"
             if rep != w and families.r0_index(w) is not None:
                 yield f"dd=1 elem {w} is not its own rep"
-    lhs = MPoly(families.tally(
-        n, lambda w: (des(w), 0, admissible_inversion_count(w), 0, 0, 0),
-        keep=lambda w: rixfact.rix(w) == 0,
-    ))
+    lhs = MPoly(terms)
     r0_ai = families.table(n, families.r0_index, _ai_exponent)
     if lhs != gamma_sum(r0_ai, n):
         yield "restricted orbit expansion fails"

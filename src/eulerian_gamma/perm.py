@@ -225,6 +225,7 @@ def statistics(w: WordT) -> StatisticBundle:
     ai = admissible_inversion_count(w)
     fixes = fix_set(w)
     descents = des_set(w)
+    rixed = rixfact.rixed_points(w)
     return StatisticBundle(
         exc=exc_count(w),
         fix=len(fixes),
@@ -236,8 +237,8 @@ def statistics(w: WordT) -> StatisticBundle:
         imaj=imaj(w),
         ai=ai,
         aid=ai + len(descents),
-        rix=rixfact.rix(w),
-        rix_set=rixfact.rixed_points(w),
+        rix=len(rixed),
+        rix_set=rixed,
         cyc=cyc_count(w),
         cda=cda_count(w),
         dd=dd,

@@ -1,9 +1,10 @@
 """The rix statistic and the rix-factorization.
 
-Two independent routes are implemented on purpose: rix() follows the
-recursive definition on the position of the maximum, rix_factorize()
-splits the word at greatest descent tops.  The verification suite insists
-that rix(w) == len(rixed_points(w)) for every permutation.
+RIX has two independent routes on purpose: rixed_points() follows the
+recursive definition on the position of the maximum (rix() is its size),
+and rix_factorize() splits the word at greatest descent tops and reads RIX
+off beta as rix_set.  prop-3.2 compares rix with |rix_set|, and prop-3.5
+the walk's RIX with the fixed points of phi, which factorizes.
 
 rix_factorize() does in one pass what the definition does by repeated
 rescans: cutting after the greatest descent top of what is left cuts
@@ -24,25 +25,26 @@ L_HOOK = "L"
 F_HOOK = "F"
 
 
-def rix(w: WordT) -> int:
-    """Recursive rix: split at the maximum letter.
-
-    A single letter scores 1 (the i == k branch); a word whose maximum is
-    first with length >= 2 scores 0; otherwise recurse on the suffix after
-    the maximum.
-    """
-    total = 0
+def rixed_points(w: WordT) -> frozenset[int]:
+    """RIX by the recursive definition, split at the maximum letter: a
+    maximum in last place (a single letter included) is a rixed point and
+    is dropped; a maximum in first place of a word of length >= 2 ends the
+    walk; otherwise the walk goes on with the suffix after the maximum."""
+    rixed = []
     while w:
-        k = len(w)
         i = w.index(max(w))  # 0-based
-        if i == k - 1:
-            total += 1
+        if i == len(w) - 1:
+            rixed.append(w[-1])
             w = w[:-1]
         elif i == 0:
-            return total
+            break
         else:
             w = w[i + 1:]
-    return total
+    return frozenset(rixed)
+
+
+def rix(w: WordT) -> int:
+    return len(rixed_points(w))
 
 
 def hook_kind(w: WordT) -> str:
@@ -109,12 +111,6 @@ def rix_factorize(w: WordT) -> RixFactorization:
             cut -= 1
     return RixFactorization(tuple(alphas), beta, kind, beta1,
                             frozenset(beta[cut:]))
-
-
-def rixed_points(w: WordT) -> frozenset[int]:
-    if not w:
-        return frozenset()
-    return rix_factorize(w).rix_set
 
 
 def format_factorization(fact: RixFactorization) -> str:

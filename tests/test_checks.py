@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from eulerian_gamma import bijections, checks, families
+from eulerian_gamma import bijections, checks, families, rixfact
 from eulerian_gamma.checks import CHECKS, WITNESS_CAP, Check, run_check, run_checks
 
 EXPECTED_IDS = {
@@ -129,9 +129,9 @@ def _count_calls(module, names, check_id, n):
     originals = {name: getattr(module, name) for name in names}
 
     def counting(name):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             counts[name] += 1
-            return originals[name](*args)
+            return originals[name](*args, **kwargs)
         return wrapper
 
     try:
@@ -149,9 +149,20 @@ def test_orbit_and_bijection_checks_run_each_kernel_once_per_word():
     assert _count_calls(bijections, ["phi", "phi_inv"], "prop-3.5", n) == {
         "phi": factorial(n), "phi_inv": factorial(n),
     }
+    # RIX comes from the recursive walk, so only phi factorizes
+    assert _count_calls(rixfact, ["rix_factorize"], "prop-3.5", n) == {
+        "rix_factorize": factorial(n),
+    }
     assert _count_calls(bijections, ["lyc"], "lemma-4.1", n) == {"lyc": factorial(n)}
     # f_map once per R0 word and f_inv once per D~ word: |R0_n| = |D~_n| = |E_n|
     domain = sum(families.sizes(families.cda_free_derangement_cyc_table(n)).values())
     assert _count_calls(bijections, ["f_map", "f_inv"], "f-bijection", n) == {
         "f_map": domain, "f_inv": domain,
     }
+    # the image's last letter is compared with w's double descent, so only
+    # f_map factorizes
+    assert _count_calls(rixfact, ["rix_factorize"], "f-bijection", n) == {
+        "rix_factorize": domain,
+    }
+    # lemma-4.2 sums its rix-0 terms in the loop that visits them
+    assert _count_calls(families, ["tally"], "lemma-4.2", n) == {"tally": 0}

@@ -29,7 +29,7 @@ from eulerian_gamma.families import (
 )
 from eulerian_gamma.mpoly import MPoly, ONE
 from eulerian_gamma.perm import is_alternating, is_derangement, words
-from eulerian_gamma.rixfact import rixed_points
+from eulerian_gamma.rixfact import rix_factorize
 
 t = MPoly.var("t")
 r = MPoly.var("r")
@@ -210,7 +210,7 @@ def test_index_functions_match_literal_definitions():
             assert e_index(w) == (
                 exc if derangement and _literal_cda(w) == 0 else None), w
             assert r0_index(w) == (
-                des if dd == 1 and not rixed_points(w) else None), w
+                des if dd == 1 and not rix_factorize(w).rix_set else None), w
 
 
 def test_classify_counts_as_the_family_polynomials():

@@ -14,7 +14,7 @@ from eulerian_gamma.actions import (
 )
 from eulerian_gamma.bijections import phi, phi_inv
 from eulerian_gamma.perm import dd_count, des, exc_count, fix_set
-from eulerian_gamma.rixfact import rix, rixed_points
+from eulerian_gamma.rixfact import rix, rix_factorize, rixed_points
 
 WORDS_PER_N = 200
 
@@ -33,7 +33,7 @@ def test_identities_on_random_long_words(n):
         for hop in (foata_strehl, mfs_single, restricted_mfs_single):
             assert hop(hop(w, x), x) == w, (hop.__name__, w, x)
 
-        assert rix(w) == len(rixed_points(w))
+        assert rix(w) == len(rix_factorize(w).rix_set)
 
         rep = canonical_rep(w)
         assert dd_count(rep) == 0

@@ -63,10 +63,10 @@ def test_factorization_concatenates_back():
             assert rix_factorize(w).word == w
 
 
-def test_rix_equals_rixed_point_count():
+def test_recursive_rix_equals_the_factorization_rix():
     for n in range(1, 8):
         for w in itertools.permutations(range(1, n + 1)):
-            assert rix(w) == len(rixed_points(w))
+            assert rixed_points(w) == rix_factorize(w).rix_set, w
 
 
 def test_rix_zero_iff_long_f_hook_beta():

@@ -287,17 +287,20 @@ def test_only_checked_extract_extracts_gammas():
 # each pair of routes a check compares stays apart
 INDEPENDENT = [
     ("rixfact", "rix", {"rix_factorize", "_cut_positions"}, "rix_factorize(w)"),
+    ("rixfact", "rixed_points", {"rix_factorize", "_cut_positions"}, "rix_factorize(w)"),
     ("perm", "admissible_inversion_count", {"inv_count"}, "inv_count(w)"),
     ("bijections", "phi", {"phi_inv", "scf"}, "scf(w)"),
-    ("bijections", "phi_inv", {"phi", "rix_factorize"}, "rixfact.rixed_points(w)"),
+    ("bijections", "phi_inv", {"phi", "rix_factorize"}, "rixfact.rix_factorize(w)"),
 ]
 
 
 @pytest.mark.parametrize("module, function, banned, call", INDEPENDENT,
                          ids=[f"{m}.{f}" for m, f, _, _ in INDEPENDENT])
 def test_compared_kernels_stay_independent(module, function, banned, call):
-    """rix is compared with |RIX| of rix_factorize (prop-3.2), ai with inv
-    (lemma-2.2), and phi with phi_inv (prop-3.5, both round trips)."""
+    """rix is compared with |RIX| of rix_factorize (prop-3.2), the walk's
+    rixed points with the fixed points of phi, which factorizes (prop-3.5),
+    ai with inv (lemma-2.2), and phi with phi_inv (prop-3.5, both round
+    trips)."""
     trees = _package_trees()
     found = _references(trees, module, function, banned)
     assert not found, f"{module}.{function} reaches {found}"
