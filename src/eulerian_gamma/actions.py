@@ -2,14 +2,10 @@
 
 phi_x swaps the maximal small-letter blocks around x; the modified action
 phi_x' only moves double ascents / double descents; the restricted action
-phi_x'' additionally freezes beta1 and all rixed points.  Set actions
-apply singleton generators in ascending label order (they commute, which
-the action-axioms check verifies on S_n).
+phi_x'' additionally freezes beta1 and all rixed points.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from . import rixfact
 from .errors import LabelOutOfRange, NotInDomain
@@ -51,12 +47,6 @@ def mfs_single(w: WordT, x: int) -> WordT:
     return _hop(w, lo, pos, hi)
 
 
-def mfs(w: WordT, labels: Iterable[int]) -> WordT:
-    for x in sorted(set(labels)):
-        w = mfs_single(w, x)
-    return w
-
-
 def _frozen(w: WordT) -> frozenset[int]:
     """The letters phi_x'' never moves: beta1 and the rixed points."""
     fact = rixfact.rix_factorize(w)
@@ -65,15 +55,7 @@ def _frozen(w: WordT) -> frozenset[int]:
 
 def restricted_mfs_single(w: WordT, x: int) -> WordT:
     """phi_x'': like phi_x' but beta1 and all rixed points are frozen."""
-    if not 1 <= x <= len(w):
-        raise LabelOutOfRange(f"label {x} not in 1..{len(w)}")
-    return w if x in _frozen(w) else mfs_single(w, x)
-
-
-def restricted_mfs(w: WordT, labels: Iterable[int]) -> WordT:
-    for x in sorted(set(labels)):
-        w = restricted_mfs_single(w, x)
-    return w
+    return w if w and x in _frozen(w) else mfs_single(w, x)
 
 
 def mfs_hops(w: WordT) -> list[WordT]:
@@ -108,16 +90,20 @@ def canonical_rep(w: WordT, action: str = "mfs") -> WordT:
 
     restricted: for sigma with rix(sigma) = 0, the unique orbit element
     whose only double descent is beta1.  Hops commute and each one toggles
-    only its own letter between double descent and double ascent, so one
-    set action on the double-descent letters reaches the representative.
+    only its own letter between double descent and double ascent, so
+    hopping each double-descent letter once reaches the representative;
+    the restricted action keeps beta1 in place itself.
     """
     if action == "mfs":
-        return mfs(w, dd_letters(w))
-    if action == "restricted":
+        hop = mfs_single
+    elif action == "restricted":
         if rixfact.rix(w) != 0:
             raise NotInDomain(
                 "restricted canonical representative needs rix(sigma) = 0"
             )
-        frozen = rixfact.rix_factorize(w).beta1
-        return restricted_mfs(w, set(dd_letters(w)) - {frozen})
-    raise ValueError(f"unknown action {action!r}")
+        hop = restricted_mfs_single
+    else:
+        raise ValueError(f"unknown action {action!r}")
+    for x in sorted(dd_letters(w)):
+        w = hop(w, x)
+    return w

@@ -71,9 +71,6 @@ def phi(w: WordT) -> WordT:
 
 
 def phi_inv(w: WordT) -> WordT:
-    n = len(w)
-    if n == 0:
-        return ()
     cycles = scf(w)
     long_cycles = [c for c in cycles if len(c) >= 2]
     fixed = [c[0] for c in cycles if len(c) == 1]
@@ -95,8 +92,6 @@ def phi_inv(w: WordT) -> WordT:
 
 def lyc(w: WordT) -> int:
     """Number of cycles of phi(sigma)."""
-    if not w:
-        return 0
     return cyc_count(phi(w))
 
 

@@ -23,12 +23,13 @@ over words(n) that _hop_changes walks along every hop: thm-1.4's
 canonical_rep and lemma-2.1's ai under actions.mfs_hops, lemma-4.1's
 interned (beta1, RIX), factor type and lyc under actions.restricted_hops,
 which takes a word's n hops from one factorization.  action-axioms
-composes two hops, so it walks its own table of every word's n hop
-images under each action, and names an image outside S_n.  prop-3.5 and
-f-bijection each prove a bijection one way: the inverse undoes the map on
-every word of the domain, so the map is injective.  phi's images are
-words of S_n, so it is a bijection of S_n; f-bijection adds a count,
-|R0_nk| = |D~_nk| with the D~ side counted without f.
+composes two hops, so it builds its own table of every word's n hop
+images under each action, phi' and phi'' from those two hop lists, and
+names an image outside S_n.  prop-3.5 and f-bijection each prove a
+bijection one way: the inverse undoes the map on every word of the
+domain, so the map is injective.  phi's images are words of S_n, so it
+is a bijection of S_n; f-bijection adds a count, |R0_nk| = |D~_nk| with
+the D~ side counted without f.
 
 prop-3.4's enumerated side is a pruned left-to-right search over cut
 positions with the same side conditions, and it stays independent of
@@ -152,7 +153,7 @@ def _thm_1_3(n: int):
             yield f"A_n(-1,0,q) != (-1)^{m} * alternating sum"
     else:
         m = (n - 1) // 2
-        if n >= 2 and not a0.is_zero():
+        if not a0.is_zero():
             yield "A_n(-1,0,q) != 0"
         if a1 != alternating_sum * ((-1) ** m):
             yield f"A_n(-1,1,q) != (-1)^{m} * alternating sum"
@@ -206,12 +207,17 @@ def _action_axioms(n: int):
     """Each of the three actions is a Z_2^n action on S_n: every hop is an
     involution and any two hops commute.  Each word's n hop images are
     computed once, in one table per action, and every image is looked up
-    there.  These laws compose two hops, so they are not the invariance of
-    a value along one hop that _hop_changes walks."""
-    hops = (("phi", actions.foata_strehl), ("phi'", actions.mfs_single),
-            ("phi''", actions.restricted_mfs_single))
-    for name, hop in hops:
-        table = {w: [hop(w, x) for x in range(1, n + 1)] for w in words(n)}
+    there.  The phi' and phi'' tables come from actions.mfs_hops and
+    actions.restricted_hops, the hop lists the other walks use, so each
+    word is factorized once.  These laws compose two hops, so they are not
+    the invariance of a value along one hop that _hop_changes walks."""
+    hop_lists = (
+        ("phi", lambda w: [actions.foata_strehl(w, x) for x in range(1, n + 1)]),
+        ("phi'", actions.mfs_hops),
+        ("phi''", actions.restricted_hops),
+    )
+    for name, hops in hop_lists:
+        table = {w: hops(w) for w in words(n)}
         for w, images in table.items():
             rows = [table.get(image) for image in images]
             for x, row in enumerate(rows, start=1):
@@ -250,8 +256,7 @@ def _prop_3_2(n: int):
         r = rixfact.rix(w)
         if r != len(fact.rix_set):
             yield f"rix != |RIX| on {w}"
-        f_hook = fact.beta_kind == rixfact.F_HOOK and len(fact.beta) >= 2
-        if (r == 0) != f_hook:
+        if (r == 0) != (fact.beta_kind == rixfact.F_HOOK):
             yield f"rix=0 iff F-hook fails on {w}"
         chain = [a[-1] for a in fact.alphas] + [fact.beta1]
         if any(chain[i] <= chain[i + 1] for i in range(len(chain) - 1)):

@@ -10,11 +10,9 @@ from eulerian_gamma.actions import (
     _x_blocks,
     canonical_rep,
     foata_strehl,
-    mfs,
     mfs_single,
     orbit,
     restricted_hops,
-    restricted_mfs,
     restricted_mfs_single,
 )
 from eulerian_gamma.errors import LabelOutOfRange, NotInDomain
@@ -35,6 +33,10 @@ def test_x_factorization_label_range():
         foata_strehl((2, 1, 3), 4)
     with pytest.raises(LabelOutOfRange):
         mfs_single((2, 1, 3), 0)
+    # the restricted hop leaves the range check to the x-factorization
+    for w, x in (((2, 1, 3), 0), ((2, 1, 3), 4), ((), 1)):
+        with pytest.raises(LabelOutOfRange, match=rf"^label {x} not in 1\.\.{len(w)}$"):
+            restricted_mfs_single(w, x)
 
 
 def test_modified_action_fixes_peaks_and_valleys():
@@ -55,14 +57,6 @@ def test_restricted_action_freezes_beta1_and_rixed_points():
                 assert restricted_mfs_single(w, x) == w
             assert restricted_hops(w) == [
                 restricted_mfs_single(w, x) for x in range(1, n + 1)]
-
-
-def test_set_action_matches_composition():
-    w = (5, 2, 6, 1, 4, 3)
-    assert mfs(w, [3, 1]) == mfs_single(mfs_single(w, 1), 3)
-    assert restricted_mfs(w, [2, 5]) == restricted_mfs_single(
-        restricted_mfs_single(w, 2), 5
-    )
 
 
 def test_hop_toggles_des_by_one():

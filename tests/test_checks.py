@@ -154,6 +154,10 @@ def test_orbit_and_bijection_checks_run_each_kernel_once_per_word():
         "rix_factorize": factorial(n),
     }
     assert _count_calls(bijections, ["lyc"], "lemma-4.1", n) == {"lyc": factorial(n)}
+    # action-axioms takes each word's phi'' hops from one factorization
+    assert _count_calls(rixfact, ["rix_factorize"], "action-axioms", n) == {
+        "rix_factorize": factorial(n),
+    }
     # f_map once per R0 word and f_inv once per D~ word: |R0_n| = |D~_n| = |E_n|
     domain = sum(families.sizes(families.cda_free_derangement_cyc_table(n)).values())
     assert _count_calls(bijections, ["f_map", "f_inv"], "f-bijection", n) == {

@@ -147,6 +147,7 @@ MUTANTS = [
     ("thm-1.2", families, "words", _words_without_last),
     ("lemma-4.1", actions, "_frozen", _frozen_without_beta1),
     ("action-axioms", actions, "_frozen", _frozen_without_beta1),
+    ("lemma-4.2", actions, "_frozen", _frozen_without_beta1),
     ("lemma-4.1", bijections, "lyc", _lyc_plus_one_on_first_ascent),
     ("thm-1.4", actions, "dd_letters", _dd_letters_but_first),
     ("lemma-2.1", checks, "admissible_inversion_count", _ai_plus_one_on_dd),
