@@ -19,14 +19,15 @@ innermost frame of its traceback, and the run goes on with the next n.  A
 report's witnesses are empty exactly when the check passed.
 
 A per-word claim computes each per-word value once per word, in a dict
-over words(n) that _hop_changes walks along every hop: thm-1.4's
-canonical_rep and lemma-2.1's ai under actions.mfs_hops, lemma-4.1's
+over words(n) that _hop_changes walks along every hop: lemma-2.1's
+canonical_rep and ai together under actions.mfs_hops, lemma-4.1's
 interned (beta1, RIX), factor type and lyc under actions.restricted_hops,
-which takes a word's n hops from one factorization.  action-axioms
-composes two hops, so it builds its own table of every word's n hop
-images under each action, phi' and phi'' from those two hop lists, and
-names an image outside S_n.  prop-3.5 and f-bijection each prove a
-bijection one way: the inverse undoes the map on every word of the
+which takes a word's n hops from one factorization.  A check's ceiling is
+the only bound on n, so no part of a check stops below its n_range.
+action-axioms composes two hops, so it builds its own table of every
+word's n hop images under each action, phi' and phi'' from those two hop
+lists, and names an image outside S_n.  prop-3.5 and f-bijection each
+prove a bijection one way: the inverse undoes the map on every word of the
 domain, so the map is injective.  phi's images are words of S_n, so it
 is a bijection of S_n; f-bijection adds a count, |R0_nk| = |D~_nk| with
 the D~ side counted without f.
@@ -66,10 +67,6 @@ from .perm import (
 from .series import TruncatedSeries
 
 WITNESS_CAP = 10
-# thm-1.4's orbit-representative part is exhaustive only up to here:
-# alone it takes 0.08-0.09 s at n = 7, 0.84-0.87 s at n = 8 and 8.1-8.6 s
-# at n = 9 (two runs, 2-vCPU Xeon, Python 3.11.7).
-ORBIT_REP_MAX_N = 8
 
 
 class VerificationReport(NamedTuple):
@@ -178,19 +175,10 @@ def _hop_changes(values: dict, hops: Callable):
 
 
 def _thm_1_4(n: int):
-    """q^inv over D_{n,k} vs extraction of A_n(t,1,q); plus the unique
-    dd-free representative of every MFS orbit."""
+    """q^inv over D_{n,k} vs extraction of A_n(t,1,q); lemma-2.1 checks the
+    MFS orbits the proof sums over."""
     families.gamma_basic(n)
-    if n > ORBIT_REP_MAX_N:
-        return
-    reps = {w: actions.canonical_rep(w, "mfs") for w in words(n)}
-    for w, rep in reps.items():
-        if dd_count(rep) != 0:
-            yield f"rep of {w} has a double descent"
-        if dd_count(w) == 0 and rep != w:
-            yield f"dd-free {w} is not its own rep"
-    for w, x, _, _ in _hop_changes(reps, actions.mfs_hops):
-        yield f"rep changed by hop of {x} on {w}"
+    return ()
 
 
 def _thm_1_5(n: int):
@@ -233,9 +221,24 @@ def _action_axioms(n: int):
 
 
 def _lemma_2_1(n: int):
-    ais = {w: admissible_inversion_count(w) for w in words(n)}
-    for w, x, _, _ in _hop_changes(ais, actions.mfs_hops):
-        yield f"ai changed by hop of {x} on {w}"
+    """Every MFS orbit has one dd-free word, the canonical_rep of each of
+    its words, and ai is constant on it.  Each word's rep and ai are
+    computed once and interned, so the words of one orbit share one pair,
+    and walked together along its n hops."""
+    shared: dict = {}
+    values = {}
+    for w in words(n):
+        key = (actions.canonical_rep(w, "mfs"), admissible_inversion_count(w))
+        values[w] = shared.setdefault(key, key)
+    for w, (rep, _) in values.items():
+        if dd_count(rep) != 0:
+            yield f"rep of {w} has a double descent"
+        if dd_count(w) == 0 and rep != w:
+            yield f"dd-free {w} is not its own rep"
+    for w, x, before, after in _hop_changes(values, actions.mfs_hops):
+        for name, old, new in zip(("rep", "ai"), before, after):
+            if old != new:
+                yield f"{name} changed by hop of {x} on {w}"
 
 
 def _lemma_2_2(n: int):
@@ -605,15 +608,15 @@ CHECKS: dict[str, Check] = {
         "sets b = 1, so a cyc_count bug passes here; eq-cycle-bis catches it",
     )),
     "thm-1.3": Check(9, _thm_1_3),
-    "thm-1.4": Check(9, _thm_1_4, (
-        f"orbit-representative part checked for n <= {ORBIT_REP_MAX_N}",
-        "canonical_rep and the hop walk both call actions.mfs_single, so a "
-        "bug they share shows only in the dd-free test of the representative",
-    )),
+    "thm-1.4": Check(9, _thm_1_4),
     "thm-1.5": Check(9, _thm_1_5),
     "lemma-1.7": Check(9, _lemma_1_7),
     "action-axioms": Check(7, _action_axioms),
-    "lemma-2.1": Check(8, _lemma_2_1),
+    "lemma-2.1": Check(8, _lemma_2_1, (
+        "canonical_rep and the hop walk both call actions.mfs_single, so a "
+        "bug they share shows only in the dd-free test of the representative "
+        "or as a change of ai",
+    )),
     "lemma-2.2": Check(8, _lemma_2_2),
     "prop-3.2": Check(8, _prop_3_2),
     "prop-3.4": Check(7, _prop_3_4),

@@ -44,9 +44,8 @@ class UsageError(ValueError):
 _FLAGS = {
     "--max-n": dict(
         type=int,
-        default=None,
-        help=f"enumeration ceiling (1..{MAX_N}, default {DEFAULT_MAX_N} "
-        "or EULERIAN_GAMMA_MAX_N)",
+        default=DEFAULT_MAX_N,
+        help=f"enumeration ceiling (1..{MAX_N}, default {DEFAULT_MAX_N})",
     ),
     "--threads": dict(
         type=int,
@@ -115,24 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rix.add_argument("perm")
 
     return parser
-
-
-def _resolve_max_n(args: argparse.Namespace) -> int:
-    """--max-n, else EULERIAN_GAMMA_MAX_N, else DEFAULT_MAX_N.  A value
-    outside 1..MAX_N is a usage error."""
-    if args.max_n is not None:
-        source, raw = "--max-n", str(args.max_n)
-    else:
-        source, raw = "EULERIAN_GAMMA_MAX_N", os.environ.get("EULERIAN_GAMMA_MAX_N")
-        if raw is None:
-            return DEFAULT_MAX_N
-    try:
-        max_n = int(raw)
-    except ValueError:
-        max_n = 0  # not an integer: reported like an out-of-range value
-    if not 1 <= max_n <= MAX_N:
-        raise UsageError(f"{source} must be an integer in 1..{MAX_N}, got {raw!r}")
-    return max_n
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -287,8 +268,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "max_n" in args:  # only the subcommands that read it
-            args.max_n = _resolve_max_n(args)
+        # only the subcommands that read --max-n have it
+        if "max_n" in args and not 1 <= args.max_n <= MAX_N:
+            raise UsageError(f"--max-n must be an integer in 1..{MAX_N}, got {args.max_n}")
         return args.handler(args)
     except (NotABijection, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

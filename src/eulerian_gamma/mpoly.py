@@ -11,7 +11,7 @@ series live in series.py.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import NotExpandable, OutOfRange
 

@@ -89,7 +89,7 @@ def test_criterion_4_action_suite():
     representatives."""
     with criterion("criterion-4 action-suite"):
         # the axioms, ai-invariance, beta1/RIX/type preservation, and the
-        # unique representatives (inside thm-1.4 and lemma-4.2)
+        # unique representatives (inside lemma-2.1 and lemma-4.2)
         ids = ["action-axioms", "lemma-2.1", "lemma-4.1", "thm-1.4", "lemma-4.2"]
         reports = checks.run_checks(ids, max_n=8)
         _assert_reports_pass(reports)

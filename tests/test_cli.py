@@ -131,26 +131,6 @@ def test_gamma_over_ceiling_exits_2(capsys):
         assert "--max-n" in err and "1..12" in err
 
 
-def test_env_var_cap(capsys, monkeypatch):
-    for value in ("99", "0", "abc"):
-        monkeypatch.setenv("EULERIAN_GAMMA_MAX_N", value)
-        code, _, err = run_cli(capsys, "gamma", "basic", "4")
-        assert code == 2  # never clamped or ignored
-        assert err.count("\n") == 1
-        assert "EULERIAN_GAMMA_MAX_N" in err and "1..12" in err
-    monkeypatch.setenv("EULERIAN_GAMMA_MAX_N", "3")
-    code, _, err = run_cli(capsys, "gamma", "basic", "4")
-    assert code == 2
-    assert err == "error: n must be in 1..3\n"
-
-
-def test_env_var_is_read_only_by_subcommands_with_max_n(capsys, monkeypatch):
-    monkeypatch.setenv("EULERIAN_GAMMA_MAX_N", "abc")
-    code, out, err = run_cli(capsys, "stats", "213")
-    assert code == 0 and err == ""
-    assert "des = 1" in out
-
-
 # subcommand -> (positional arguments, the common flags it reads)
 SUBCOMMAND_FLAGS = {
     "stats": (["213"], {"--output"}),
@@ -357,7 +337,6 @@ def _probe(*argvs):
     """Run the argvs in one `python -S` process with only the package's
     source on the path; returns its outputs and loaded module names."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    env.pop("EULERIAN_GAMMA_MAX_N", None)
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _PROBE, json.dumps(argvs)],
         env=env, capture_output=True, text=True, timeout=120, check=True,

@@ -23,6 +23,7 @@ _CYC_COUNT = perm.cyc_count
 _Q_BINOMIAL = mpoly.q_binomial
 _GAMMA_SUM = mpoly.gamma_sum
 _RIX = rixfact.rix
+_INV_COUNT = perm.inv_count
 _MFS_SINGLE = actions.mfs_single
 
 
@@ -126,6 +127,12 @@ def _rix_plus_one_ending_in_1(w):
     return _RIX(w) + (bool(w) and w[-1] == 1)
 
 
+def _inv_plus_one_ending_in_1(w):
+    """q^inv over D_{n,k} off by one on words like 231; a word starting
+    with n would not do, as no dd-free or alternating word starts with n."""
+    return _INV_COUNT(w) + (len(w) >= 2 and w[-1] == 1)
+
+
 def _mfs_as_foata_strehl(w, x):
     """phi_x in place of phi_x': peaks and valleys hop too."""
     return actions.foata_strehl(w, x)
@@ -142,15 +149,16 @@ def _framed_with_boundary_0(w):
 
 
 # (check id, module, name, mutant); a check's first mutant is named by the
-# check id alone, any further one by the check id and the rebound name
+# check id alone, any further one by the check id and the rebound name, or
+# by the check id and the mutant if that name is taken
 MUTANTS = [
     ("thm-1.2", families, "words", _words_without_last),
     ("lemma-4.1", actions, "_frozen", _frozen_without_beta1),
     ("action-axioms", actions, "_frozen", _frozen_without_beta1),
     ("lemma-4.2", actions, "_frozen", _frozen_without_beta1),
     ("lemma-4.1", bijections, "lyc", _lyc_plus_one_on_first_ascent),
-    ("thm-1.4", actions, "dd_letters", _dd_letters_but_first),
     ("lemma-2.1", checks, "admissible_inversion_count", _ai_plus_one_on_dd),
+    ("lemma-2.1", actions, "dd_letters", _dd_letters_but_first),
     ("prop-3.4", rixfact, "_cut_positions", _every_descent_top),
     ("prop-3.5", bijections, "phi_inv", _phi_inv_last_fixed_point),
     ("prop-3.5", bijections, "phi", _phi_beta_rest_reversed),
@@ -161,16 +169,20 @@ MUTANTS = [
     ("thm-1.1", checks, "gamma_sum", _gamma_sum_center_plus_one),
     ("prop-3.2", rixfact, "rix", _rix_plus_one_ending_in_1),
     ("lemma-2.1", actions, "mfs_single", _mfs_as_foata_strehl),
-    ("thm-1.4", actions, "mfs_single", _mfs_never_hopping_n),
+    ("lemma-2.1", actions, "mfs_single", _mfs_never_hopping_n),
+    ("thm-1.4", families, "inv_count", _inv_plus_one_ending_in_1),
     ("thm-1.3", perm, "_framed", _framed_with_boundary_0),
 ]
 
 
 def _mutant_ids():
     seen = set()
-    for check_id, _, name, _ in MUTANTS:
-        yield f"{check_id}-{name}" if check_id in seen else check_id
-        seen.add(check_id)
+    for check_id, _, name, mutant in MUTANTS:
+        test_id = next(i for i in (check_id, f"{check_id}-{name}",
+                                   f"{check_id}-{mutant.__name__.strip('_')}")
+                       if i not in seen)
+        seen.add(test_id)
+        yield test_id
 
 
 @contextmanager
@@ -203,13 +215,15 @@ def test_size_witness_lists_the_sizes_in_k_order():
 
 
 def test_hop_witness_names_the_label_and_the_word():
-    """thm-1.4's orbit-representative part reports each hop that changes
-    a representative, through the one hop walk."""
+    """lemma-2.1 reports each hop that changes a representative or ai,
+    naming the value, through the one hop walk."""
     with _mutated(actions, "mfs_single", _mfs_as_foata_strehl):
-        report = run_check("thm-1.4", max_n=3)
+        report = run_check("lemma-2.1", max_n=3)
     assert report.witnesses == (
         "n=3: rep changed by hop of 3 on (1, 3, 2)",
+        "n=3: ai changed by hop of 3 on (1, 3, 2)",
         "n=3: rep changed by hop of 3 on (2, 3, 1)",
+        "n=3: ai changed by hop of 3 on (2, 3, 1)",
     )
 
 
@@ -241,14 +255,14 @@ def test_exp_fixed_witness_names_j():
 
 
 def test_a_blind_spot_is_named_in_the_notes():
-    """thm-1.2 passes a cyc_count bug and thm-1.4 sees an mfs_single bug
-    only as a representative with a double descent; each note says so."""
+    """thm-1.2 passes a cyc_count bug and lemma-2.1 sees this mfs_single
+    bug only as a representative with a double descent; each note says so."""
     with _mutated(families, "cyc_count", _cyc_count_plus_one_on_derangements):
         report = run_check("thm-1.2", max_n=6)
     assert report.passed
     assert "cyc_count" in report.notes[0] and "eq-cycle-bis" in report.notes[0]
     with _mutated(actions, "mfs_single", _mfs_never_hopping_n):
-        report = run_check("thm-1.4", max_n=6)
+        report = run_check("lemma-2.1", max_n=6)
     assert report.witnesses
     assert all("has a double descent" in w for w in report.witnesses[:-1])
-    assert "actions.mfs_single" in report.notes[1]
+    assert "actions.mfs_single" in report.notes[0]

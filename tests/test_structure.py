@@ -1,9 +1,9 @@
 """Design guards: S_n is enumerated only through perm.words, the
 enumeration ceiling is defined only as perm.MAX_N, every check is a
 declared per-n claim whose n loop and witness size prefix live in
-checks.run_check alone, one function extracts gammas and compares them
-with their direct table, the rules of the D~, E and R0 families are
-written only in families, prop-3.4's enumerated side uses nothing from
+checks.run_check alone and whose only bound on n is its Check ceiling,
+one function extracts gammas and compares them with their direct table,
+the rules of the D~, E and R0 families are written only in families, prop-3.4's enumerated side uses nothing from
 rixfact, the kernels a check compares (rix and rix_factorize, ai and inv,
 phi and phi_inv) do not reach each other, the benchmark's tracer
 still finds every name it rebinds, every check the benchmark requests is
@@ -57,6 +57,48 @@ def test_no_second_ceiling_constant():
                 ):
                     offenders.append(f"{name}:{node.lineno}")
     assert not offenders, f"import perm.MAX_N instead of redefining it: {offenders}"
+
+
+def _n_bounds(tree: ast.Module) -> list[str]:
+    """function:line of each comparison of n with a name the module
+    assigns or imports at its top level (or an attribute of one) inside a
+    function of the module."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+
+    def is_global(node) -> bool:
+        while isinstance(node, ast.Attribute):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id in names
+
+    found = []
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if (any(isinstance(o, ast.Name) and o.id == "n" for o in operands)
+                        and any(is_global(o) for o in operands)):
+                    found.append(f"{func.name}:{node.lineno}")
+    return found
+
+
+def test_the_check_ceiling_is_the_only_bound_on_n():
+    """A claim that returned early above a constant of its own would check
+    part of its statement below the n_range its report shows; a literal
+    one-size guard such as n != 3 is allowed."""
+    trees = {"checks": ast.parse((PACKAGE / "checks.py").read_text(encoding="utf-8"))}
+    found = _n_bounds(trees["checks"])
+    assert not found, f"bound n only by Check.ceiling: {found}"
+    # the guard fails on a copy of a claim with a second ceiling
+    mutated = _insert_call(trees, "checks", "_thm_1_5", "if n > WITNESS_CAP: return")
+    assert _n_bounds(mutated["checks"]) == ["_thm_1_5:1"]
 
 
 def test_every_check_is_declared_as_a_check():
