@@ -1,35 +1,58 @@
-"""Checks with teeth: each mutant rebinds one kernel to a plausible bug,
-and the check that claims the property the bug breaks must fail on it.
+"""Checks with teeth: the kill matrix.
+
+Each mutant is a plausible bug in one kernel. `_mutated` rebinds the
+kernel in every module of the package that holds it, and every registered
+check runs against the mutant at max_n = 6. `golden_kills.json` pins,
+for each mutant, the sorted ids of the checks that fail on it: every
+mutant has a killer, and `remark-3.7-negative`, a negative control, kills
+none. A witness that names a frame of this file is the mutant crashing on
+its own; it is no kill, and it fails the test.
 
 Every lru_cache in the package is cleared before and after each mutant,
-so no table computed under a mutant outlives it.
+so no table computed under a mutant outlives it. Rewrite the golden only
+from a matrix whose differences have been read:
+
+    PYTHONPATH=src python tests/test_mutants.py > tests/golden_kills.json
 """
 
 import importlib
+import json
 import pkgutil
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
 import eulerian_gamma
-from eulerian_gamma import actions, bijections, checks, families, mpoly, perm, rixfact
-from eulerian_gamma.checks import run_check
+from eulerian_gamma import actions, bijections, families, mpoly, perm, rixfact
+from eulerian_gamma.checks import CHECKS, run_check
 from eulerian_gamma.errors import NotInDomain
 
+GOLDEN = Path(__file__).with_name("golden_kills.json")
+MAX_N = 6
+# how a contained exception names a frame of this file in its witness
+_HERE = f"(at {Path(__file__).name}:"
+
+# originals the mutants call, taken before any rebinding
 _LYC = bijections.lyc
 _R0_INDEX = families.r0_index
-_WORDS = families.words
+_WORDS = perm.words
 _CYC_COUNT = perm.cyc_count
+_AI = perm.admissible_inversion_count
+_DD_LETTERS = perm.dd_letters
 _Q_BINOMIAL = mpoly.q_binomial
 _GAMMA_SUM = mpoly.gamma_sum
 _RIX = rixfact.rix
 _INV_COUNT = perm.inv_count
 _MFS_SINGLE = actions.mfs_single
 
+_MODULES = [importlib.import_module(f"eulerian_gamma.{info.name}")
+            for info in pkgutil.iter_modules(eulerian_gamma.__path__)]
+
 
 def _clear_caches():
-    for info in pkgutil.iter_modules(eulerian_gamma.__path__):
-        module = importlib.import_module(f"eulerian_gamma.{info.name}")
+    for module in _MODULES:
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
@@ -41,11 +64,11 @@ def _frozen_without_beta1(w):
 
 
 def _dd_letters_but_first(w):
-    return perm.dd_letters(w)[1:]
+    return _DD_LETTERS(w)[1:]
 
 
 def _ai_plus_one_on_dd(w):
-    return perm.admissible_inversion_count(w) + (perm.dd_count(w) > 0)
+    return _AI(w) + (perm.dd_count(w) > 0)
 
 
 def _every_descent_top(w):
@@ -114,7 +137,11 @@ def _cyc_count_plus_one_on_derangements(w):
 
 
 def _q_binomial_without_top_term(n, k):
+    """[n k]_q without its top term for 0 < k < n; [n 0] and [n n] stay 1,
+    as q_binomial's own recursion, rebound here too, reaches them."""
     full = _Q_BINOMIAL(n, k)
+    if k in (0, n):
+        return full
     top = max(full.terms)
     return mpoly.MPoly({e: c for e, c in full.terms.items() if e != top})
 
@@ -148,61 +175,92 @@ def _framed_with_boundary_0(w):
     return zip(p, p[1:], p[2:])
 
 
-# (check id, module, name, mutant); a check's first mutant is named by the
-# check id alone, any further one by the check id and the rebound name, or
-# by the check id and the mutant if that name is taken
+# (module that defines the kernel, its name, the mutant), one per mutant
 MUTANTS = [
-    ("thm-1.2", families, "words", _words_without_last),
-    ("lemma-4.1", actions, "_frozen", _frozen_without_beta1),
-    ("action-axioms", actions, "_frozen", _frozen_without_beta1),
-    ("lemma-4.2", actions, "_frozen", _frozen_without_beta1),
-    ("lemma-4.1", bijections, "lyc", _lyc_plus_one_on_first_ascent),
-    ("lemma-2.1", checks, "admissible_inversion_count", _ai_plus_one_on_dd),
-    ("lemma-2.1", actions, "dd_letters", _dd_letters_but_first),
-    ("prop-3.4", rixfact, "_cut_positions", _every_descent_top),
-    ("prop-3.5", bijections, "phi_inv", _phi_inv_last_fixed_point),
-    ("prop-3.5", bijections, "phi", _phi_beta_rest_reversed),
-    ("f-bijection", bijections, "f_inv", _f_inv_hopping_first_letter),
-    ("f-bijection", families, "r0_index", _r0_index_without_leading_1),
-    ("eq-cycle-bis", families, "cyc_count", _cyc_count_plus_one_on_derangements),
-    ("eq-qmul", checks, "q_binomial", _q_binomial_without_top_term),
-    ("thm-1.1", checks, "gamma_sum", _gamma_sum_center_plus_one),
-    ("prop-3.2", rixfact, "rix", _rix_plus_one_ending_in_1),
-    ("lemma-2.1", actions, "mfs_single", _mfs_as_foata_strehl),
-    ("lemma-2.1", actions, "mfs_single", _mfs_never_hopping_n),
-    ("thm-1.4", families, "inv_count", _inv_plus_one_ending_in_1),
-    ("thm-1.3", perm, "_framed", _framed_with_boundary_0),
+    (perm, "words", _words_without_last),
+    (actions, "_frozen", _frozen_without_beta1),
+    (bijections, "lyc", _lyc_plus_one_on_first_ascent),
+    (perm, "admissible_inversion_count", _ai_plus_one_on_dd),
+    (perm, "dd_letters", _dd_letters_but_first),
+    (rixfact, "_cut_positions", _every_descent_top),
+    (bijections, "phi_inv", _phi_inv_last_fixed_point),
+    (bijections, "phi", _phi_beta_rest_reversed),
+    (bijections, "f_inv", _f_inv_hopping_first_letter),
+    (families, "r0_index", _r0_index_without_leading_1),
+    (perm, "cyc_count", _cyc_count_plus_one_on_derangements),
+    (mpoly, "q_binomial", _q_binomial_without_top_term),
+    (mpoly, "gamma_sum", _gamma_sum_center_plus_one),
+    (rixfact, "rix", _rix_plus_one_ending_in_1),
+    (actions, "mfs_single", _mfs_as_foata_strehl),
+    (actions, "mfs_single", _mfs_never_hopping_n),
+    (perm, "inv_count", _inv_plus_one_ending_in_1),
+    (perm, "_framed", _framed_with_boundary_0),
 ]
-
-
-def _mutant_ids():
-    seen = set()
-    for check_id, _, name, mutant in MUTANTS:
-        test_id = next(i for i in (check_id, f"{check_id}-{name}",
-                                   f"{check_id}-{mutant.__name__.strip('_')}")
-                       if i not in seen)
-        seen.add(test_id)
-        yield test_id
 
 
 @contextmanager
 def _mutated(module, name, mutant):
+    """Rebind every attribute of every package module that is module.name."""
     original = getattr(module, name)
+    bound = [(m, attr) for m in _MODULES
+             for attr, value in vars(m).items() if value is original]
     _clear_caches()
-    setattr(module, name, mutant)
     try:
+        for m, attr in bound:
+            setattr(m, attr, mutant)
         yield
     finally:
-        setattr(module, name, original)
+        for m, attr in bound:
+            setattr(m, attr, original)
         _clear_caches()
 
 
-@pytest.mark.parametrize("check_id, module, name, mutant", MUTANTS,
-                         ids=list(_mutant_ids()))
-def test_check_fails_on_its_mutant(check_id, module, name, mutant):
+def _kills(report) -> bool:
+    """Whether the report kills its mutant. A witness naming a frame of
+    this file is the mutant crashing on its own, and fails the assert."""
+    own = [w for w in report.witnesses if _HERE in w]
+    assert not own, f"the mutant crashed on its own in {report.check_id}: {own}"
+    return not report.passed
+
+
+def _killers(module, name, mutant) -> list[str]:
     with _mutated(module, name, mutant):
-        report = run_check(check_id, max_n=6)
-    assert not report.passed, f"{check_id} passed with {name} mutated"
+        return sorted(cid for cid in CHECKS if _kills(run_check(cid, MAX_N)))
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("module, name, mutant", MUTANTS,
+                         ids=[mutant.__name__ for *_, mutant in MUTANTS])
+def test_check_fails_on_its_mutant(module, name, mutant):
+    expected = set(_golden()[mutant.__name__])
+    actual = set(_killers(module, name, mutant))
+    assert actual == expected, (
+        f"{mutant.__name__}: killers added {sorted(actual - expected)}, "
+        f"removed {sorted(expected - actual)}"
+    )
+
+
+def test_golden_has_a_killer_for_every_mutant():
+    golden = _golden()
+    assert sorted(golden) == sorted(mutant.__name__ for *_, mutant in MUTANTS)
+    assert all(golden.values())
+    assert set(CHECKS) - set().union(*golden.values()) == {"remark-3.7-negative"}
+
+
+def test_a_mutant_crashing_on_its_own_is_no_kill():
+    """A mutant calling its original through the module it is rebound in
+    calls itself; the RecursionError names this file and kills nothing."""
+    def ai_through_perm(w):
+        return perm.admissible_inversion_count(w) + (perm.dd_count(w) > 0)
+
+    with _mutated(perm, "admissible_inversion_count", ai_through_perm):
+        report = run_check("lemma-2.1", max_n=3)
+    assert all("RecursionError" in w and _HERE in w for w in report.witnesses)
+    with pytest.raises(AssertionError, match="crashed on its own in lemma-2.1"):
+        _kills(report)
 
 
 def test_size_witness_lists_the_sizes_in_k_order():
@@ -244,20 +302,19 @@ def test_axiom_witness_names_the_action_the_label_and_the_word():
 
 
 def test_exp_fixed_witness_names_j():
-    with _mutated(checks, "q_binomial", _q_binomial_without_top_term):
-        report = run_check("eq-exp-fixed", max_n=3)
+    with _mutated(mpoly, "q_binomial", _q_binomial_without_top_term):
+        report = run_check("eq-exp-fixed", max_n=4)
     assert report.witnesses == (
-        "n=1: j=1: exp-fixed identity fails",
-        "n=2: j=2: exp-fixed identity fails",
         "n=3: j=1: exp-fixed identity fails",
-        "n=3: j=3: exp-fixed identity fails",
+        "n=4: j=1: exp-fixed identity fails",
+        "n=4: j=2: exp-fixed identity fails",
     )
 
 
 def test_a_blind_spot_is_named_in_the_notes():
     """thm-1.2 passes a cyc_count bug and lemma-2.1 sees this mfs_single
     bug only as a representative with a double descent; each note says so."""
-    with _mutated(families, "cyc_count", _cyc_count_plus_one_on_derangements):
+    with _mutated(perm, "cyc_count", _cyc_count_plus_one_on_derangements):
         report = run_check("thm-1.2", max_n=6)
     assert report.passed
     assert "cyc_count" in report.notes[0] and "eq-cycle-bis" in report.notes[0]
@@ -266,3 +323,10 @@ def test_a_blind_spot_is_named_in_the_notes():
     assert report.witnesses
     assert all("has a double descent" in w for w in report.witnesses[:-1])
     assert "actions.mfs_single" in report.notes[0]
+
+
+if __name__ == "__main__":
+    json.dump({mutant.__name__: _killers(module, name, mutant)
+               for module, name, mutant in MUTANTS},
+              sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
