@@ -22,8 +22,11 @@ A per-word claim computes each per-word value once per word, in a dict
 over words(n) that _hop_changes walks along every hop: lemma-2.1's
 canonical_rep and ai together under actions.mfs_hops, lemma-4.1's
 interned (beta1, RIX), factor type and lyc under actions.restricted_hops,
-which takes a word's n hops from one factorization.  A check's ceiling is
-the only bound on n, so no part of a check stops below its n_range.
+which takes a word's n hops from one factorization.  A hop image that is
+not a word of the dict is named, "phi'_<x>(<w>) = <image> is not a word
+of S_<n>" (phi''_ for lemma-4.1), as action-axioms names one.  A check's
+ceiling is the only bound on n, so no part of a check stops below its
+n_range.
 action-axioms composes two hops, so it builds its own table of every
 word's n hop images under each action, phi' and phi'' from those two hop
 lists, and names an image outside S_n.  prop-3.5 and f-bijection each
@@ -166,12 +169,15 @@ def _thm_1_3(n: int):
 
 
 def _hop_changes(values: dict, hops: Callable):
-    """(w, x, before, after) for each word w of values and label x whose
-    hop image hops(w)[x - 1] is not w and has another value."""
+    """(w, x, image, before, after) for each word w of values and label x
+    whose hop image = hops(w)[x - 1] is not w and has another value; after
+    is None for an image that is not a word of values."""
     for w, before in values.items():
-        for x, w2 in enumerate(hops(w), start=1):
-            if w2 != w and values[w2] != before:
-                yield w, x, before, values[w2]
+        for x, image in enumerate(hops(w), start=1):
+            if image != w:
+                after = values.get(image)
+                if after != before:
+                    yield w, x, image, before, after
 
 
 def _thm_1_4(n: int):
@@ -235,7 +241,10 @@ def _lemma_2_1(n: int):
             yield f"rep of {w} has a double descent"
         if dd_count(w) == 0 and rep != w:
             yield f"dd-free {w} is not its own rep"
-    for w, x, before, after in _hop_changes(values, actions.mfs_hops):
+    for w, x, image, before, after in _hop_changes(values, actions.mfs_hops):
+        if after is None:
+            yield f"phi'_{x}({w}) = {image} is not a word of S_{n}"
+            continue
         for name, old, new in zip(("rep", "ai"), before, after):
             if old != new:
                 yield f"{name} changed by hop of {x} on {w}"
@@ -395,33 +404,33 @@ def _lemma_4_1(n: int):
             bijections.lyc(w),
         )
         invariants[w] = shared.setdefault(key, key)
-    for w, x, before, after in _hop_changes(invariants, actions.restricted_hops):
+    for w, x, image, before, after in _hop_changes(invariants, actions.restricted_hops):
+        if after is None:
+            yield f"phi''_{x}({w}) = {image} is not a word of S_{n}"
+            continue
         for name, old, new in zip(("beta1/RIX", "factor type", "lyc"), before, after):
             if old != new:
                 yield f"{name} changed by {x} on {w}"
 
 
-def _ai_exponent(w) -> tuple:
-    return (0, 0, admissible_inversion_count(w), 0, 0, 0)
-
-
 def _lemma_4_2(n: int):
-    terms: Counter = Counter()
+    counts: Counter = Counter()
     for w in words(n):
         if rixfact.rix(w) == 0:
-            terms[(des(w), 0, admissible_inversion_count(w), 0, 0, 0)] += 1
+            counts[(des(w), admissible_inversion_count(w))] += 1
             rep = actions.canonical_rep(w, "restricted")
             if dd_count(rep) != 1:
                 yield f"restricted rep of {w} has dd != 1"
             if rep != w and families.r0_index(w) is not None:
                 yield f"dd=1 elem {w} is not its own rep"
-    lhs = MPoly(terms)
-    r0_ai = families.table(n, families.r0_index, _ai_exponent)
+    lhs = MPoly.from_counts(counts, "tq")
+    r0_ai = families.table(n, families.r0_index, admissible_inversion_count, "q")
     if lhs != gamma_sum(r0_ai, n):
         yield "restricted orbit expansion fails"
     # proof chain: f keeps ai and sends des = k to des = k - 1, and the
     # D~ index is des + 1, so both tables are keyed by the same k
-    d_tilde_ai = families.table(n, families.d_tilde_index, _ai_exponent)
+    d_tilde_ai = families.table(n, families.d_tilde_index,
+                                admissible_inversion_count, "q")
     if r0_ai != d_tilde_ai or d_tilde_ai != families.dd_free_ascent_inv_table(n):
         yield "ai/inv proof-chain equality fails"
 
@@ -502,7 +511,7 @@ def _eq_qmul(n: int):
             sum(1 for a in subset for b in universe if b not in subset and a > b)
             for subset in itertools.combinations(universe, k)
         )
-        brute = MPoly({(0, 0, e, 0, 0, 0): c for e, c in invs.items()})
+        brute = MPoly.from_counts(invs, "q")
         if q_binomial(n, k) != brute:
             yield f"[{n} {k}]_q != subset sum"
 

@@ -23,11 +23,13 @@ p = 1 specializations equal the direct sums of a k-table at every k of
 either (only sw3_gamma's polynomial has a p).  The other structured
 routes (recurrences, series, bijections) live in checks.py, so the two
 sides stay independent.
-Each family is a filter on S_n plus a key: the key maps a word to its
-exponent 6-tuple (t, r, q, p, y, b), and `tally` counts the keys in plain
-dicts for speed before wrapping into MPoly; `table` does the same per
-family index.  Index functions and keys call the perm kernels by name at
-call time, so rebinding a kernel reaches every family.
+Each family is a filter on S_n plus a key: the key maps a word to the
+exponents of the variables its polynomial names ("trq" for t^exc r^fix
+q^(maj-exc), "q" for q^inv), a bare int for one variable, and `tally`
+counts the keys in plain dicts for speed before MPoly.from_counts builds
+the polynomial; `table` does the same per family index, its key a kernel
+such as inv_count.  Index functions and keys call the perm kernels by name
+at call time, so rebinding a kernel reaches every family.
 """
 
 from __future__ import annotations
@@ -90,17 +92,18 @@ def tally(n: int, key, keep=None) -> dict:
     return acc
 
 
-def table(n: int, index, exponent) -> dict[int, MPoly]:
-    """k -> sum of the monomials exponent(w) over the words w of S_n with
-    index(w) = k; words with index None are left out."""
-    by_k: dict[int, dict[tuple, int]] = {}
+def table(n: int, index, key, variables: str) -> dict[int, MPoly]:
+    """k -> sum of the monomials whose exponents of variables are key(w),
+    over the words w of S_n with index(w) = k; words with index None are
+    left out."""
+    by_k: dict[int, dict] = {}
     for w in words(n):
         k = index(w)
         if k is not None:
-            terms = by_k.setdefault(k, {})
-            e = exponent(w)
-            terms[e] = terms.get(e, 0) + 1
-    return {k: MPoly(terms) for k, terms in by_k.items()}
+            counts = by_k.setdefault(k, {})
+            e = key(w)
+            counts[e] = counts.get(e, 0) + 1
+    return {k: MPoly.from_counts(counts, variables) for k, counts in by_k.items()}
 
 
 def sizes(by_k: dict[int, MPoly]) -> dict[int, int]:
@@ -120,49 +123,45 @@ def _exc_fix_maj_key(w) -> tuple:
             fix += 1
         if i < last and v > w[i + 1]:
             m += i + 1
-    return (exc, fix, m - exc, 0, 0, 0)
+    return (exc, fix, m - exc)
 
 
 @lru_cache(maxsize=None)
 def basic_eulerian(n: int) -> MPoly:
     """A_n(t, r, q) = sum over S_n of t^exc r^fix q^(maj - exc)."""
-    return MPoly(tally(n, _exc_fix_maj_key))
+    return MPoly.from_counts(tally(n, _exc_fix_maj_key), "trq")
 
 
 @lru_cache(maxsize=None)
 def basic_eulerian_desrix(n: int) -> MPoly:
     """The same polynomial via the triple (des, rix, ai)."""
-    return MPoly(tally(n, lambda w: (
-        des(w), rixfact.rix(w), admissible_inversion_count(w), 0, 0, 0)))
-
-
-def _inv_exponent(w) -> tuple:
-    return (0, 0, inv_count(w), 0, 0, 0)
+    return MPoly.from_counts(tally(n, lambda w: (
+        des(w), rixfact.rix(w), admissible_inversion_count(w))), "trq")
 
 
 @lru_cache(maxsize=None)
 def dd_free_inv_table(n: int) -> dict[int, MPoly]:
     """k -> sum of q^inv over D_{n,k}."""
-    return table(n, d_index, _inv_exponent)
+    return table(n, d_index, inv_count, "q")
 
 
 @lru_cache(maxsize=None)
 def dd_free_ascent_inv_table(n: int) -> dict[int, MPoly]:
     """k -> sum of q^inv over D~_{n,k} (the derangement-side gamma index)."""
-    return table(n, d_tilde_index, _inv_exponent)
+    return table(n, d_tilde_index, inv_count, "q")
 
 
 @lru_cache(maxsize=None)
 def cda_free_derangement_cyc_table(n: int) -> dict[int, MPoly]:
     """k -> sum of b^cyc over E_{n,k}."""
-    return table(n, e_index, lambda w: (0, 0, 0, 0, 0, cyc_count(w)))
+    return table(n, e_index, cyc_count, "b")
 
 
 @lru_cache(maxsize=None)
 def _exc_fix_cyc_poly(n: int) -> MPoly:
     """Sum over S_n of t^exc r^fix b^cyc."""
-    return MPoly(tally(n, lambda w: (
-        exc_count(w), len(fix_set(w)), 0, 0, 0, cyc_count(w))))
+    return MPoly.from_counts(tally(n, lambda w: (
+        exc_count(w), len(fix_set(w)), cyc_count(w))), "trb")
 
 
 @lru_cache(maxsize=None)
@@ -173,13 +172,13 @@ def derangement_cyc_poly(n: int) -> MPoly:
 
 def _exc_maj_des_key(w) -> tuple:
     exc = exc_count(w)
-    return (exc, 0, maj(w) - exc, des(w), 0, 0)
+    return (exc, maj(w) - exc, des(w))
 
 
 @lru_cache(maxsize=None)
 def derangement_exc_des_maj_poly(n: int) -> MPoly:
     """Sum over derangements of t^exc p^des q^(maj - exc)."""
-    return MPoly(tally(n, _exc_maj_des_key, keep=is_derangement))
+    return MPoly.from_counts(tally(n, _exc_maj_des_key, keep=is_derangement), "tqp")
 
 
 @lru_cache(maxsize=None)
@@ -197,7 +196,7 @@ def fixed_count_cyc_exc_poly(n: int, j: int) -> MPoly:
 @lru_cache(maxsize=None)
 def alternating_inv_poly(n: int) -> MPoly:
     """Sum of q^inv over alternating permutations of [n]."""
-    return MPoly(tally(n, _inv_exponent, keep=is_alternating))
+    return MPoly.from_counts(tally(n, inv_count, keep=is_alternating), "q")
 
 
 # --- Gamma aggregates -----------------------------------------------------

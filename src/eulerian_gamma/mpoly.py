@@ -1,7 +1,10 @@
 """Sparse exact multivariate polynomials over the fixed alphabet t,r,q,p,y,b.
 
 Coefficients are Python ints (arbitrary precision); terms map exponent
-6-tuples to nonzero coefficients.  The constructor alone drops zero
+6-tuples, one slot per variable of VARS in its order, to nonzero
+coefficients.  That layout is private to this module: MPoly.from_counts
+alone writes it, from counts keyed by the exponents of the variables a
+caller names, and var and const call it.  The constructor alone drops zero
 coefficients: arithmetic accumulates every term and leaves the cancelled
 ones to it.  "b" is the cycle-counting variable (rendered as "b" in ASCII
 output).  The series variable z is never a polynomial variable: truncated
@@ -20,7 +23,6 @@ NVARS = len(VARS)
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 
 ExpT = tuple[int, ...]
-_ZERO_EXP: ExpT = (0,) * NVARS
 
 
 class MPoly:
@@ -40,14 +42,28 @@ class MPoly:
         return MPoly()
 
     @staticmethod
+    def from_counts(counts: Mapping, variables: str) -> "MPoly":
+        """Sum of c * prod(v^k) over the items (key, c) of counts, where key
+        lists the exponents k of the named variables in the order given (a
+        bare int when there is one variable).  The only code that writes
+        the exponent layout; a name outside VARS raises KeyError."""
+        slots = [_VAR_INDEX[v] for v in variables]
+        single = len(slots) == 1
+        terms = {}
+        for key, c in counts.items():
+            e = [0] * NVARS
+            for i, k in zip(slots, (key,) if single else key, strict=True):
+                e[i] = k
+            terms[tuple(e)] = c
+        return MPoly(terms)
+
+    @staticmethod
     def const(c: int) -> "MPoly":
-        return MPoly({_ZERO_EXP: c}) if c else MPoly()
+        return MPoly.from_counts({(): c}, "")
 
     @staticmethod
     def var(name: str, power: int = 1) -> "MPoly":
-        e = [0] * NVARS
-        e[_VAR_INDEX[name]] = power
-        return MPoly({tuple(e): 1})
+        return MPoly.from_counts({power: 1}, name)
 
     # -- arithmetic -------------------------------------------------------
 

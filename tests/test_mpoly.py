@@ -30,6 +30,25 @@ def test_arithmetic_basics():
     assert MPoly.const(0) == MPoly.zero()
 
 
+def test_from_counts_with_one_variable_takes_int_keys():
+    assert MPoly.from_counts({0: 1, 2: 3}, "q") == ONE + 3 * q**2
+
+
+def test_from_counts_follows_the_order_of_the_variables():
+    assert MPoly.from_counts({(1, 2): 1}, "tq") == t * q**2
+    assert MPoly.from_counts({(1, 2): 1}, "qt") == q * t**2
+
+
+def test_from_counts_drops_zero_counts():
+    assert MPoly.from_counts({(1, 2): 0, (0, 1): 5}, "tq") == 5 * q
+    assert MPoly.from_counts({3: 0}, "b").is_zero()
+
+
+def test_from_counts_rejects_an_unknown_variable():
+    with pytest.raises(KeyError):
+        MPoly.from_counts({1: 1}, "x")
+
+
 def test_int_coercion_and_equality():
     assert MPoly.const(5) == 5
     assert ONE + 1 == 2

@@ -285,6 +285,17 @@ def test_hop_witness_names_the_label_and_the_word():
     )
 
 
+def test_hop_witness_names_an_image_outside_the_words():
+    """A hop image missing from the enumerated words is named, as
+    action-axioms names one, not looked up."""
+    with _mutated(perm, "words", _words_without_last):
+        lemma_2_1 = run_check("lemma-2.1", max_n=2)
+        lemma_4_1 = run_check("lemma-4.1", max_n=3)
+    assert lemma_2_1.witnesses == ("n=2: phi'_2((1, 2)) = (2, 1) is not a word of S_2",)
+    assert lemma_4_1.witnesses == (
+        "n=3: phi''_2((3, 1, 2)) = (3, 2, 1) is not a word of S_3",)
+
+
 def test_axiom_witness_names_the_action_the_label_and_the_word():
     with _mutated(actions, "_frozen", _frozen_without_beta1):
         report = run_check("action-axioms", max_n=3)

@@ -3,6 +3,7 @@ enumeration ceiling is defined only as perm.MAX_N, every check is a
 declared per-n claim whose n loop and witness size prefix live in
 checks.run_check alone and whose only bound on n is its Check ceiling,
 one function extracts gammas and compares them with their direct table,
+only mpoly writes the exponent layout of a polynomial term,
 the rules of the D~, E and R0 families are written only in families, prop-3.4's enumerated side uses nothing from
 rixfact, the kernels a check compares (rix and rix_factorize, ai and inv,
 phi and phi_inv) do not reach each other, the benchmark's tracer
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import eulerian_gamma
+from eulerian_gamma import mpoly
 from eulerian_gamma.perm import MAX_N
 
 PACKAGE = Path(eulerian_gamma.__file__).parent
@@ -323,6 +325,26 @@ def test_only_checked_extract_extracts_gammas():
     mutated = _insert_call(trees, "checks", "_exp_fixed", "gamma_extract(ONE, 0)")
     assert _referrers(mutated, "gamma_extract") == [
         "checks._exp_fixed", "families._checked_extract"]
+
+
+def _exponent_tuples(trees: dict) -> list[str]:
+    """module:line of each tuple display outside mpoly with one element per
+    variable of mpoly.VARS."""
+    size = len(mpoly.VARS)
+    return [f"{mod}:{node.lineno}" for mod, tree in trees.items() if mod != "mpoly"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Tuple) and len(node.elts) == size]
+
+
+def test_only_mpoly_writes_the_exponent_layout():
+    """Families and claims name their variables for MPoly.from_counts; a
+    tuple with one slot per variable would restate mpoly's private layout."""
+    trees = _package_trees()
+    found = _exponent_tuples(trees)
+    assert not found, f"name the variables for MPoly.from_counts: {found}"
+    # the guard fails on a copy of a family that writes an exponent tuple
+    mutated = _insert_call(trees, "families", "basic_eulerian", "(0, 0, 1, 0, 0, 0)")
+    assert _exponent_tuples(mutated) == ["families:1"]
 
 
 # (module, function, names it must not reach, a call that would reach one):
