@@ -314,15 +314,17 @@ def test_verify_negative_threads_exits_2(capsys, pool_sizes):
     assert pool_sizes == []
 
 
-# Runs each argv given as JSON through cli.main in one fresh process and
-# prints every (exit code, stdout) and the modules loaded by then.
+# Imports eulerian_gamma.<argv[1]> in one fresh process, runs each argv
+# given as JSON through its main, and prints every (exit code, stdout) and
+# the modules loaded by then.
 _PROBE = """
 import io, json, sys
-from eulerian_gamma import cli
+name = "eulerian_gamma." + sys.argv[1]
+__import__(name)
 outputs = []
-for argv in json.loads(sys.argv[1]):
+for argv in json.loads(sys.argv[2]):
     sys.stdout = io.StringIO()
-    code = cli.main(argv)
+    code = sys.modules[name].main(argv)
     outputs.append((code, sys.stdout.getvalue()))
     sys.stdout = sys.__stdout__
 print(json.dumps({"outputs": outputs, "modules": sorted(sys.modules)}))
@@ -333,14 +335,16 @@ _SERIAL_UNUSED = {"concurrent.futures", "multiprocessing", "dataclasses",
 _VERIFY = ["verify", "table-1", "eq-qmul", "--max-n", "4", "--threads"]
 
 
-def _probe(*argvs):
-    """Run the argvs in one `python -S` process with only the package's
-    source on the path; returns its outputs and loaded module names."""
+def probe(module, *argvs):
+    """Import eulerian_gamma.<module> and run the argvs through its main in
+    one `python -S` process with only the package's source on the path;
+    returns their outputs and the names of the loaded modules."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", _PROBE, json.dumps(argvs)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        [sys.executable, "-S", "-c", _PROBE, module, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
     )
+    assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     return result["outputs"], set(result["modules"])
 
@@ -353,13 +357,13 @@ def _reports_without_timing(out):
 
 
 def test_serial_commands_load_neither_the_pool_nor_dataclasses():
-    outputs, modules = _probe(
-        _VERIFY + ["1"], ["stats", "4132"], ["gamma", "basic", "5"],
+    outputs, modules = probe(
+        "cli", _VERIFY + ["1"], ["stats", "4132"], ["gamma", "basic", "5"],
         ["map", "phi", "4132"], ["rixfact", "4132"], ["orbit", "4132"],
     )
     assert [code for code, _ in outputs] == [0] * 6
     assert not _SERIAL_UNUSED & modules
-    [(code, out)], pool_modules = _probe(_VERIFY + ["2"])
+    [(code, out)], pool_modules = probe("cli", _VERIFY + ["2"])
     assert code == 0
     assert "concurrent.futures" in pool_modules
     assert _reports_without_timing(out) == _reports_without_timing(outputs[0][1])
@@ -368,8 +372,8 @@ def test_serial_commands_load_neither_the_pool_nor_dataclasses():
 def test_worked_example_commands_leave_the_harness_unloaded():
     """stats, gamma, map, rixfact and orbit never load the verification
     harness; only verify does."""
-    outputs, modules = _probe(
-        ["stats", "4132"], ["gamma", "basic", "5"], ["map", "phi", "4132"],
+    outputs, modules = probe(
+        "cli", ["stats", "4132"], ["gamma", "basic", "5"], ["map", "phi", "4132"],
         ["rixfact", "4132"], ["orbit", "4132"],
     )
     assert [code for code, _ in outputs] == [0] * 5

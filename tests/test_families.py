@@ -31,6 +31,7 @@ from eulerian_gamma.families import (
 from eulerian_gamma.mpoly import MPoly, ONE
 from eulerian_gamma.perm import is_alternating, is_derangement, words
 from eulerian_gamma.rixfact import rix_factorize
+from test_kernel_references import literal_cda
 
 t = MPoly.var("t")
 r = MPoly.var("r")
@@ -148,22 +149,6 @@ def _literal_des(w):
     return sum(1 for a, b in zip(w, w[1:]) if a > b)
 
 
-def _literal_cda(w):
-    """Values i with sigma^-1(i) < i < sigma(i), read off the cycles."""
-    seen, total = set(), 0
-    for start in range(1, len(w) + 1):
-        cycle = []
-        while start not in seen:
-            seen.add(start)
-            cycle.append(start)
-            start = w[start - 1]
-        total += sum(
-            1 for j, v in enumerate(cycle)
-            if cycle[j - 1] < v < cycle[(j + 1) % len(cycle)]
-        )
-    return total
-
-
 def test_index_functions_match_literal_definitions():
     for n in range(8):  # n = 0 is the empty word
         for w in words(n):
@@ -175,7 +160,7 @@ def test_index_functions_match_literal_definitions():
             assert d_tilde_index(w) == (
                 des + 1 if dd == 0 and final_ascent else None), w
             assert e_index(w) == (
-                exc if derangement and _literal_cda(w) == 0 else None), w
+                exc if derangement and literal_cda(w) == 0 else None), w
             assert r0_index(w) == (
                 des if dd == 1 and not rix_factorize(w).rix_set else None), w
 

@@ -1,10 +1,10 @@
 """The one-pass kernels against their literal definitions: the
 rix-factorization by repeated cuts after the greatest descent top, Phi
 through hook cycles and word_from_cycles, the standard cycle form by
-rotating and sorting the cycles, phi_inv by concatenating its parts, and
-ai through the next greater letter of each w_i.  Each reference
-is asserted equal to its kernel on every word of S_n for n <= 8 and on
-seeded random words up to n = 200."""
+rotating and sorting the cycles, phi_inv by concatenating its parts, ai
+through the next greater letter of each w_i, and cda by walking each
+cycle.  Each reference is asserted equal to its kernel on every word of
+S_n for n <= 8 and on seeded random words up to n = 200."""
 
 import random
 from typing import Sequence
@@ -12,7 +12,7 @@ from typing import Sequence
 import pytest
 
 from eulerian_gamma import bijections, rixfact
-from eulerian_gamma.perm import admissible_inversion_count, words
+from eulerian_gamma.perm import admissible_inversion_count, cda_count, words
 
 
 def _greatest_descent_top(w):
@@ -116,6 +116,22 @@ def _literal_phi_inv(w):
     return out + tuple(fixed)
 
 
+def literal_cda(w):
+    """Values i with sigma^-1(i) < i < sigma(i), read off the cycles."""
+    seen, total = set(), 0
+    for start in range(1, len(w) + 1):
+        cycle = []
+        while start not in seen:
+            seen.add(start)
+            cycle.append(start)
+            start = w[start - 1]
+        total += sum(
+            1 for j, v in enumerate(cycle)
+            if cycle[j - 1] < v < cycle[(j + 1) % len(cycle)]
+        )
+    return total
+
+
 def _literal_ai(w):
     """Inversions (w_i, w_j) with a left ascent into w_i or a letter
     greater than w_i before w_j: the next greater letter found first."""
@@ -141,6 +157,7 @@ KERNELS = [
     ("scf", bijections.scf, _literal_scf),
     ("phi_inv", bijections.phi_inv, _literal_phi_inv),
     ("ai", admissible_inversion_count, _literal_ai),
+    ("cda_count", cda_count, literal_cda),
 ]
 LONG_SIZES = (10, 20, 40, 60, 200)
 

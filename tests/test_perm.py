@@ -9,7 +9,6 @@ from eulerian_gamma.errors import BudgetExceeded, NotABijection
 from eulerian_gamma.families import d_index, d_tilde_index, e_index, r0_index
 from eulerian_gamma.perm import (
     admissible_inversion_count,
-    cda_count,
     cyc_count,
     dd_count,
     des,
@@ -99,37 +98,6 @@ def test_excedance_fixed_point_cycle():
     assert cyc_count(w) == 3
     assert not is_derangement(w)
     assert is_derangement((2, 1, 4, 3))
-
-
-def test_cda_definition():
-    # cyclic double ascents: i with sigma^-1(i) < i < sigma(i)
-    for n in range(1, 7):
-        for w in itertools.permutations(range(1, n + 1)):
-            inv = inverse(w)
-            direct = sum(
-                1 for i in range(1, n + 1) if inv[i - 1] < i < w[i - 1]
-            )
-            assert cda_count(w) == direct
-
-
-def test_admissible_inversions_brute_force():
-    """Quadratic implementation vs the literal definition."""
-    def brute(w):
-        n = len(w)
-        total = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if w[i] <= w[j]:
-                    continue
-                cond1 = i > 0 and w[i - 1] < w[i]
-                cond2 = any(w[l] > w[i] for l in range(i + 1, j))
-                if cond1 or cond2:
-                    total += 1
-        return total
-
-    for n in range(1, 7):
-        for w in itertools.permutations(range(1, n + 1)):
-            assert admissible_inversion_count(w) == brute(w)
 
 
 def test_ai_at_most_inv_with_equality_on_dd_free():
