@@ -100,6 +100,26 @@ def test_excedance_fixed_point_cycle():
     assert is_derangement((2, 1, 4, 3))
 
 
+def test_admissible_inversions_brute_force():
+    """Quadratic implementation vs the literal definition."""
+    def brute(w):
+        n = len(w)
+        total = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                if w[i] <= w[j]:
+                    continue
+                cond1 = i > 0 and w[i - 1] < w[i]
+                cond2 = any(w[l] > w[i] for l in range(i + 1, j))
+                if cond1 or cond2:
+                    total += 1
+        return total
+
+    for n in range(1, 7):
+        for w in itertools.permutations(range(1, n + 1)):
+            assert admissible_inversion_count(w) == brute(w)
+
+
 def test_ai_at_most_inv_with_equality_on_dd_free():
     for n in range(1, 7):
         for w in itertools.permutations(range(1, n + 1)):

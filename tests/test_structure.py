@@ -6,6 +6,7 @@ on a copy of the parsed package with a forbidden statement inserted."""
 
 import ast
 import copy
+import functools
 import importlib
 from pathlib import Path
 
@@ -342,11 +343,27 @@ UNLOADED = {
 }
 
 
+@functools.cache
+def _loaded_after_import(module: str) -> frozenset[str]:
+    """The package modules loaded by importing eulerian_gamma.<module>, from
+    one fresh-interpreter probe per module and session."""
+    _, modules = probe(module)
+    return frozenset(name.split(".", 1)[1] for name in modules
+                     if name.startswith("eulerian_gamma."))
+
+
+def _unwanted(module: str) -> list[str]:
+    return sorted(_loaded_after_import(module) & UNLOADED[module])
+
+
 @pytest.mark.parametrize("module", sorted(TREES.keys() - {"__init__"}))
 def test_each_module_imports_on_its_own(module):
-    _, modules = probe(module)
-    loaded = {name.split(".", 1)[1] for name in modules
-              if name.startswith("eulerian_gamma.")}
-    assert module in loaded
-    unwanted = loaded & UNLOADED.get(module, set())
-    assert not unwanted, f"import eulerian_gamma.{module} loaded {sorted(unwanted)}"
+    assert module in _loaded_after_import(module)
+
+
+def test_kernel_import_leaves_the_harness_unloaded():
+    assert not _unwanted("perm"), f"import eulerian_gamma.perm loaded {_unwanted('perm')}"
+
+
+def test_cli_import_leaves_the_lazy_modules_unloaded():
+    assert not _unwanted("cli"), f"import eulerian_gamma.cli loaded {_unwanted('cli')}"
