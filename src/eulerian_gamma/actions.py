@@ -91,19 +91,23 @@ def canonical_rep(w: WordT, action: str = "mfs") -> WordT:
     restricted: for sigma with rix(sigma) = 0, the unique orbit element
     whose only double descent is beta1.  Hops commute and each one toggles
     only its own letter between double descent and double ascent, so
-    hopping each double-descent letter once reaches the representative;
-    the restricted action keeps beta1 in place itself.
+    hopping each double-descent letter once reaches the representative.
+    A restricted hop keeps beta1 and RIX (lemma-4.1), so the frozen
+    letters are taken once, from sigma, and beta1 stays in place; the
+    restricted representative is right only where lemma-4.1 holds, which
+    the lemma-4.1 check verifies on its own.
     """
     if action == "mfs":
-        hop = mfs_single
+        frozen = frozenset()
     elif action == "restricted":
         if rixfact.rix(w) != 0:
             raise NotInDomain(
                 "restricted canonical representative needs rix(sigma) = 0"
             )
-        hop = restricted_mfs_single
+        frozen = _frozen(w) if w else frozenset()
     else:
         raise ValueError(f"unknown action {action!r}")
     for x in sorted(dd_letters(w)):
-        w = hop(w, x)
+        if x not in frozen:
+            w = mfs_single(w, x)
     return w

@@ -18,13 +18,18 @@ claim becomes the witness
 innermost frame of its traceback, and the run goes on with the next n.  A
 report's witnesses are empty exactly when the check passed.
 
-A per-word claim computes each per-word value once per word, in a dict
-over words(n) that _hop_changes walks along every hop: lemma-2.1's
-canonical_rep and ai together under actions.mfs_hops, lemma-4.1's
-interned (beta1, RIX), factor type and lyc under actions.restricted_hops,
-which takes a word's n hops from one factorization.  A hop image that is
-not a word of the dict is named, "phi'_<x>(<w>) = <image> is not a word
-of S_<n>" (phi''_ for lemma-4.1), as action-axioms names one.  A check's
+lemma-2.1 and lemma-4.1 walk S_n one orbit at a time (_orbit_walk):
+words(n) is scanned once for orbit starts, the dd-free words under
+actions.mfs_hops and, under actions.restricted_hops, the words whose
+double descents are all frozen.  Each start's orbit is walked
+breadth-first over every label, and each member's value (lemma-2.1's
+canonical_rep and ai, lemma-4.1's (beta1, RIX), factor type and lyc) is
+computed once, in a table that lives for that orbit only.  A hop that
+changes a value is named; so is a hop image that is not a rearrangement of
+1..n, "phi'_<x>(<w>) = <image> is not a word of S_<n>" (phi''_ for
+lemma-4.1), as action-axioms names one; so is an orbit that holds more
+than one start, and orbits whose sizes do not sum to the number of words
+scanned, a count that goes through no hop.  A check's
 ceiling is the only bound on n, so no part of a check stops below its
 n_range.
 action-axioms composes two hops, so it builds its own table of every
@@ -168,16 +173,65 @@ def _thm_1_3(n: int):
             yield f"{w}: alternating={alt} family={member}"
 
 
-def _hop_changes(values: dict, hops: Callable):
-    """(w, x, image, before, after) for each word w of values and label x
-    whose hop image = hops(w)[x - 1] is not w and has another value; after
-    is None for an image that is not a word of values."""
-    for w, before in values.items():
-        for x, image in enumerate(hops(w), start=1):
-            if image != w:
-                after = values.get(image)
-                if after != before:
-                    yield w, x, image, before, after
+def _orbit_walk(n: int, is_start: Callable, value: Callable, hops: Callable,
+                witnesses: Callable):
+    """Walk S_n one orbit at a time, for a claim that every hop keeps a
+    value.  words(n) is scanned once for the words is_start accepts, one
+    per orbit.  Each one's orbit is walked breadth-first along every label
+    of hops, computing each member's value and hop images once, in a table
+    that lives for that orbit only; an image that is not a rearrangement
+    of 1..n is not walked.
+
+    witnesses(start, start's value, changes) yields the witnesses of one
+    orbit; changes holds (w, x, image, before, after) for each hop of a
+    label x from a member w whose image has another value, after None for
+    an image outside S_n.  An orbit that holds more than one word is_start
+    accepts is named, as it is walked more than once; a last witness
+    reports orbits whose sizes do not sum to the number of words scanned,
+    a count that does not go through hops.  With one start per orbit and
+    every scanned word covered, the orbits partition the words scanned."""
+    letters = list(range(1, n + 1))
+    scanned = covered = 0
+    for start in words(n):
+        scanned += 1
+        if not is_start(start):
+            continue
+        table = {start: None}
+        queue = [start]
+        for w in queue:  # the queue grows as the walk meets new members
+            images = hops(w)
+            table[w] = (value(w), images)
+            for image in images:
+                if image not in table and sorted(image) == letters:
+                    table[image] = None
+                    queue.append(image)
+        covered += len(table)
+        changes = (
+            (w, x, image, before, table[image][0] if image in table else None)
+            for w, (before, images) in table.items()
+            for x, image in enumerate(images, start=1)
+            if image != w and (image not in table or table[image][0] != before)
+        )
+        yield from witnesses(start, table[start][0], changes)
+        starts = sum(map(is_start, table))
+        if starts > 1:
+            yield f"orbit of {start} holds {starts} orbit starts"
+    if covered != scanned:
+        yield f"orbit sizes sum to {covered}, but {scanned} words of S_{n} were scanned"
+
+
+def _dd_free(w) -> bool:
+    """lemma-2.1's orbit starts: each MFS orbit has one dd-free word."""
+    return dd_count(w) == 0
+
+
+def _dd_all_frozen(w) -> bool:
+    """lemma-4.1's orbit starts: each restricted orbit has one word whose
+    double descents are all frozen, as every hop keeps the frozen letters
+    and toggles its own letter between double descent and double ascent.
+    Only a word with a double descent asks actions._frozen."""
+    dd = dd_letters(w)
+    return not dd or actions._frozen(w).issuperset(dd)
 
 
 def _thm_1_4(n: int):
@@ -204,7 +258,7 @@ def _action_axioms(n: int):
     there.  The phi' and phi'' tables come from actions.mfs_hops and
     actions.restricted_hops, the hop lists the other walks use, so each
     word is factorized once.  These laws compose two hops, so they are not
-    the invariance of a value along one hop that _hop_changes walks."""
+    the invariance of a value along one hop that _orbit_walk checks."""
     hop_lists = (
         ("phi", lambda w: [actions.foata_strehl(w, x) for x in range(1, n + 1)]),
         ("phi'", actions.mfs_hops),
@@ -228,26 +282,23 @@ def _action_axioms(n: int):
 
 def _lemma_2_1(n: int):
     """Every MFS orbit has one dd-free word, the canonical_rep of each of
-    its words, and ai is constant on it.  Each word's rep and ai are
-    computed once and interned, so the words of one orbit share one pair,
-    and walked together along its n hops."""
-    shared: dict = {}
-    values = {}
-    for w in words(n):
-        key = (actions.canonical_rep(w, "mfs"), admissible_inversion_count(w))
-        values[w] = shared.setdefault(key, key)
-    for w, (rep, _) in values.items():
-        if dd_count(rep) != 0:
-            yield f"rep of {w} has a double descent"
-        if dd_count(w) == 0 and rep != w:
-            yield f"dd-free {w} is not its own rep"
-    for w, x, image, before, after in _hop_changes(values, actions.mfs_hops):
-        if after is None:
-            yield f"phi'_{x}({w}) = {image} is not a word of S_{n}"
-            continue
-        for name, old, new in zip(("rep", "ai"), before, after):
-            if old != new:
-                yield f"{name} changed by hop of {x} on {w}"
+    its words, and ai is constant on it.  Each orbit is walked from its
+    dd-free word, and each member's rep and ai are computed once."""
+    def value(w):
+        return actions.canonical_rep(w, "mfs"), admissible_inversion_count(w)
+
+    def witnesses(start, start_value, changes):
+        if start_value[0] != start:
+            yield f"dd-free {start} is not its own rep"
+        for w, x, image, before, after in changes:
+            if after is None:
+                yield f"phi'_{x}({w}) = {image} is not a word of S_{n}"
+                continue
+            for name, old, new in zip(("rep", "ai"), before, after):
+                if old != new:
+                    yield f"{name} changed by hop of {x} on {w}"
+
+    return _orbit_walk(n, _dd_free, value, actions.mfs_hops, witnesses)
 
 
 def _lemma_2_2(n: int):
@@ -295,10 +346,10 @@ def _valid_factorizations(w: tuple[int, ...]):
     valid = []
 
     def beta_ok(beta, prev) -> bool:
+        if beta[0] >= prev:
+            return False
         m = max(beta)
         if not (beta[-1] == m or (len(beta) >= 2 and beta[0] == m)):
-            return False
-        if beta[0] >= prev:
             return False
         tops = [beta[i] for i in range(len(beta) - 1) if beta[i] > beta[i + 1]]
         return not tops or beta[0] == max(tops)
@@ -392,25 +443,26 @@ def _f_bijection(n: int):
 
 def _lemma_4_1(n: int):
     """A restricted hop keeps (beta1, RIX), the factor type and lyc.  Each
-    word's four values are computed once and interned, so the words of one
-    orbit share one tuple and a hop image is looked up, not recomputed."""
-    shared: dict = {}
-    invariants = {}
-    for w in words(n):
+    orbit is walked from its word whose double descents are all frozen,
+    and each member's four values are computed once."""
+    def value(w):
         fact = rixfact.rix_factorize(w)
-        key = (
+        return (
             (fact.beta1, fact.rix_set),
             tuple(tuple(sorted(f)) for f in (*fact.alphas, fact.beta)),
             bijections.lyc(w),
         )
-        invariants[w] = shared.setdefault(key, key)
-    for w, x, image, before, after in _hop_changes(invariants, actions.restricted_hops):
-        if after is None:
-            yield f"phi''_{x}({w}) = {image} is not a word of S_{n}"
-            continue
-        for name, old, new in zip(("beta1/RIX", "factor type", "lyc"), before, after):
-            if old != new:
-                yield f"{name} changed by {x} on {w}"
+
+    def witnesses(start, start_value, changes):
+        for w, x, image, before, after in changes:
+            if after is None:
+                yield f"phi''_{x}({w}) = {image} is not a word of S_{n}"
+                continue
+            for name, old, new in zip(("beta1/RIX", "factor type", "lyc"), before, after):
+                if old != new:
+                    yield f"{name} changed by {x} on {w}"
+
+    return _orbit_walk(n, _dd_all_frozen, value, actions.restricted_hops, witnesses)
 
 
 def _lemma_4_2(n: int):
@@ -622,9 +674,11 @@ CHECKS: dict[str, Check] = {
     "lemma-1.7": Check(9, _lemma_1_7),
     "action-axioms": Check(7, _action_axioms),
     "lemma-2.1": Check(8, _lemma_2_1, (
-        "canonical_rep and the hop walk both call actions.mfs_single, so a "
-        "bug they share shows only in the dd-free test of the representative "
-        "or as a change of ai",
+        "canonical_rep and the orbit walk both call actions.mfs_single, so a "
+        "bug they share can leave every representative in place; it shows as "
+        "a change of ai, an orbit holding two dd-free words, or orbit sizes "
+        "that do not sum to the words scanned, a count that does not call "
+        "mfs_single",
     )),
     "lemma-2.2": Check(8, _lemma_2_2),
     "prop-3.2": Check(8, _prop_3_2),
@@ -632,7 +686,12 @@ CHECKS: dict[str, Check] = {
     "prop-3.5": Check(8, _prop_3_5),
     "f-bijection": Check(8, _f_bijection),
     "lemma-4.1": Check(8, _lemma_4_1),
-    "lemma-4.2": Check(8, _lemma_4_2),
+    "lemma-4.2": Check(8, _lemma_4_2, (
+        "the restricted canonical_rep takes the frozen letters once, from "
+        "the word, as a restricted hop keeps beta1 and RIX; so its "
+        "representative is right only where lemma-4.1 holds, which "
+        "lemma-4.1 checks on its own",
+    )),
     "prop-5.1": Check(6, _prop_5_1),
     "prop-5.2": Check(9, _prop_5_2, (
         "GammaTilde recurrence verified in the corrected form "

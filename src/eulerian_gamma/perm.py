@@ -11,6 +11,7 @@ letter is a valley and valley = peak + 1 for every n >= 1.
 from __future__ import annotations
 
 import itertools
+from operator import eq, gt
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, NotABijection
@@ -66,7 +67,7 @@ def maj(w: Sequence[int]) -> int:
 
 
 def des(w: Sequence[int]) -> int:
-    return sum(1 for i in range(1, len(w)) if w[i - 1] > w[i])
+    return sum(map(gt, w, w[1:]))
 
 
 def inv_count(w: Sequence[int]) -> int:
@@ -182,7 +183,7 @@ def is_alternating(w: Sequence[int]) -> bool:
 
 
 def is_derangement(w: Sequence[int]) -> bool:
-    return all(v != i for i, v in enumerate(w, start=1))
+    return not any(map(eq, w, range(1, len(w) + 1)))
 
 
 # --- statistic bundle -----------------------------------------------------

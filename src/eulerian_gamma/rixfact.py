@@ -32,14 +32,14 @@ def rixed_points(w: WordT) -> frozenset[int]:
     walk; otherwise the walk goes on with the suffix after the maximum."""
     rixed = []
     while w:
-        i = w.index(max(w))  # 0-based
-        if i == len(w) - 1:
-            rixed.append(w[-1])
+        m = max(w)
+        if w[-1] == m:
+            rixed.append(m)
             w = w[:-1]
-        elif i == 0:
+        elif w[0] == m:
             break
         else:
-            w = w[i + 1:]
+            w = w[w.index(m) + 1:]
     return frozenset(rixed)
 
 

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from eulerian_gamma import bijections, checks, families, rixfact
+from eulerian_gamma import actions, bijections, checks, families, rixfact
 from eulerian_gamma.checks import CHECKS, WITNESS_CAP, Check, run_check, run_checks
+from eulerian_gamma.perm import words
 
 EXPECTED_IDS = {
     "thm-1.1", "thm-1.2", "thm-1.3", "thm-1.4", "thm-1.5",
@@ -170,3 +171,40 @@ def test_orbit_and_bijection_checks_run_each_kernel_once_per_word():
     }
     # lemma-4.2 sums its rix-0 terms in the loop that visits them
     assert _count_calls(families, ["tally"], "lemma-4.2", n) == {"tally": 0}
+
+
+def test_the_orbit_walks_start_once_in_each_orbit():
+    """lemma-2.1's and lemma-4.1's start rules pick exactly one word of
+    each orbit of actions.orbit; the MFS starts are the fixed points of
+    canonical_rep, and the restricted starts of rix 0 are the R0 words."""
+    starts = {"mfs": checks._dd_free, "restricted": checks._dd_all_frozen}
+    for n in range(1, 8):
+        for action, is_start in starts.items():
+            walked: set = set()
+            for w in words(n):
+                if w not in walked:
+                    orbit = actions.orbit(w, action)
+                    walked |= orbit
+                    assert sum(map(is_start, orbit)) == 1, (action, w)
+        for w in words(n):
+            assert checks._dd_free(w) == (actions.canonical_rep(w, "mfs") == w), w
+            if rixfact.rix(w) == 0:
+                assert checks._dd_all_frozen(w) == (families.r0_index(w) is not None), w
+
+
+def test_an_orbit_walked_twice_is_named():
+    """Two starts in one orbit make the walk cover that orbit twice, which
+    can balance the size of an orbit no walk reaches; the walk names each
+    orbit that holds more than one start. Here the label-1 hop swaps the
+    last two letters, so S_3 has three orbits of two words, and the third,
+    {312, 321}, is never reached."""
+    def hops(w):
+        return [(w[0], w[2], w[1]), w, w]
+
+    def is_start(w):
+        return w in {(1, 2, 3), (1, 3, 2), (2, 1, 3)}
+
+    assert list(checks._orbit_walk(3, is_start, len, hops, lambda *_: ())) == [
+        "orbit of (1, 2, 3) holds 2 orbit starts",
+        "orbit of (1, 3, 2) holds 2 orbit starts",
+    ]

@@ -31,7 +31,7 @@ from eulerian_gamma.families import (
 from eulerian_gamma.mpoly import MPoly, ONE
 from eulerian_gamma.perm import is_alternating, is_derangement, words
 from eulerian_gamma.rixfact import rix_factorize
-from test_kernel_references import literal_cda
+from test_kernel_references import literal_cda, literal_derangement, literal_des
 
 t = MPoly.var("t")
 r = MPoly.var("r")
@@ -145,16 +145,12 @@ def _literal_dd(w):
     return sum(1 for i in range(1, len(w) + 1) if p[i - 1] > p[i] > p[i + 1])
 
 
-def _literal_des(w):
-    return sum(1 for a, b in zip(w, w[1:]) if a > b)
-
-
 def test_index_functions_match_literal_definitions():
     for n in range(8):  # n = 0 is the empty word
         for w in words(n):
-            dd, des = _literal_dd(w), _literal_des(w)
+            dd, des = _literal_dd(w), literal_des(w)
             exc = sum(1 for i, v in enumerate(w, 1) if v > i)
-            derangement = all(v != i for i, v in enumerate(w, 1))
+            derangement = literal_derangement(w)
             final_ascent = n >= 2 and w[-2] < w[-1]
             assert d_index(w) == (des if dd == 0 else None), w
             assert d_tilde_index(w) == (

@@ -2,8 +2,9 @@
 rix-factorization by repeated cuts after the greatest descent top, Phi
 through hook cycles and word_from_cycles, the standard cycle form by
 rotating and sorting the cycles, phi_inv by concatenating its parts, ai
-through the next greater letter of each w_i, and cda by walking each
-cycle.  Each reference is asserted equal to its kernel on every word of
+through the next greater letter of each w_i, cda by walking each cycle,
+and des and the derangement test by comparing letters pairwise.  Each
+reference is asserted equal to its kernel on every word of
 S_n for n <= 8 and on seeded random words up to n = 200."""
 
 import random
@@ -12,7 +13,13 @@ from typing import Sequence
 import pytest
 
 from eulerian_gamma import bijections, rixfact
-from eulerian_gamma.perm import admissible_inversion_count, cda_count, words
+from eulerian_gamma.perm import (
+    admissible_inversion_count,
+    cda_count,
+    des,
+    is_derangement,
+    words,
+)
 
 
 def _greatest_descent_top(w):
@@ -151,6 +158,16 @@ def _literal_ai(w):
     return total
 
 
+def literal_des(w):
+    """Positions i with w_i > w_(i+1)."""
+    return sum(1 for a, b in zip(w, w[1:]) if a > b)
+
+
+def literal_derangement(w):
+    """No position i with w_i = i."""
+    return all(v != i for i, v in enumerate(w, 1))
+
+
 KERNELS = [
     ("rix_factorize", rixfact.rix_factorize, _literal_rix_factorize),
     ("phi", bijections.phi, _literal_phi),
@@ -158,6 +175,8 @@ KERNELS = [
     ("phi_inv", bijections.phi_inv, _literal_phi_inv),
     ("ai", admissible_inversion_count, _literal_ai),
     ("cda_count", cda_count, literal_cda),
+    ("des", des, literal_des),
+    ("is_derangement", is_derangement, literal_derangement),
 ]
 LONG_SIZES = (10, 20, 40, 60, 200)
 

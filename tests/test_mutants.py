@@ -26,7 +26,7 @@ import pytest
 
 import eulerian_gamma
 from eulerian_gamma import actions, bijections, families, mpoly, perm, rixfact
-from eulerian_gamma.checks import CHECKS, run_check
+from eulerian_gamma.checks import CHECKS, WITNESS_CAP, run_check
 from eulerian_gamma.errors import NotInDomain
 
 GOLDEN = Path(__file__).with_name("golden_kills.json")
@@ -274,7 +274,9 @@ def test_size_witness_lists_the_sizes_in_k_order():
 
 def test_hop_witness_names_the_label_and_the_word():
     """lemma-2.1 reports each hop that changes a representative or ai,
-    naming the value, through the one hop walk."""
+    naming the value, through the one orbit walk. Under phi_x the orbits
+    of the dd-free words 132 and 231 are one, so it is walked from both,
+    and each walk names the orbit's two starts."""
     with _mutated(actions, "mfs_single", _mfs_as_foata_strehl):
         report = run_check("lemma-2.1", max_n=3)
     assert report.witnesses == (
@@ -282,18 +284,39 @@ def test_hop_witness_names_the_label_and_the_word():
         "n=3: ai changed by hop of 3 on (1, 3, 2)",
         "n=3: rep changed by hop of 3 on (2, 3, 1)",
         "n=3: ai changed by hop of 3 on (2, 3, 1)",
+        "n=3: orbit of (1, 3, 2) holds 2 orbit starts",
+        "n=3: rep changed by hop of 3 on (2, 3, 1)",
+        "n=3: ai changed by hop of 3 on (2, 3, 1)",
+        "n=3: rep changed by hop of 3 on (1, 3, 2)",
+        "n=3: ai changed by hop of 3 on (1, 3, 2)",
+        "n=3: orbit of (2, 3, 1) holds 2 orbit starts",
+        f"stopped at n=3 after {WITNESS_CAP} witnesses",
     )
 
 
 def test_hop_witness_names_an_image_outside_the_words():
-    """A hop image missing from the enumerated words is named, as
-    action-axioms names one, not looked up."""
+    """A word missing from the enumeration is counted: the orbits reach
+    it, so their sizes exceed the words scanned. A hop image that is not a
+    rearrangement of 1..n is named, as action-axioms names one, and is
+    not walked."""
     with _mutated(perm, "words", _words_without_last):
         lemma_2_1 = run_check("lemma-2.1", max_n=2)
         lemma_4_1 = run_check("lemma-4.1", max_n=3)
-    assert lemma_2_1.witnesses == ("n=2: phi'_2((1, 2)) = (2, 1) is not a word of S_2",)
+    assert lemma_2_1.witnesses == (
+        "n=2: orbit sizes sum to 2, but 1 words of S_2 were scanned",)
     assert lemma_4_1.witnesses == (
-        "n=3: phi''_2((3, 1, 2)) = (3, 2, 1) is not a word of S_3",)
+        "n=3: orbit sizes sum to 6, but 5 words of S_3 were scanned",)
+    with _mutated(actions, "mfs_single", lambda w, x: (*w, x)):
+        lemma_2_1 = run_check("lemma-2.1", max_n=2)
+        lemma_4_1 = run_check("lemma-4.1", max_n=2)
+    assert lemma_2_1.witnesses == (
+        "n=1: phi'_1((1,)) = (1, 1) is not a word of S_1",
+        "n=2: phi'_1((1, 2)) = (1, 2, 1) is not a word of S_2",
+        "n=2: phi'_2((1, 2)) = (1, 2, 2) is not a word of S_2",
+        "n=2: orbit sizes sum to 1, but 2 words of S_2 were scanned",
+    )
+    assert lemma_4_1.witnesses == (
+        "n=2: phi''_1((2, 1)) = (2, 1, 1) is not a word of S_2",)
 
 
 def test_axiom_witness_names_the_action_the_label_and_the_word():
@@ -324,7 +347,8 @@ def test_exp_fixed_witness_names_j():
 
 def test_a_blind_spot_is_named_in_the_notes():
     """thm-1.2 passes a cyc_count bug and lemma-2.1 sees this mfs_single
-    bug only as a representative with a double descent; each note says so."""
+    bug only as orbits that do not cover the words scanned; each note says
+    so."""
     with _mutated(perm, "cyc_count", _cyc_count_plus_one_on_derangements):
         report = run_check("thm-1.2", max_n=6)
     assert report.passed
@@ -332,8 +356,9 @@ def test_a_blind_spot_is_named_in_the_notes():
     with _mutated(actions, "mfs_single", _mfs_never_hopping_n):
         report = run_check("lemma-2.1", max_n=6)
     assert report.witnesses
-    assert all("has a double descent" in w for w in report.witnesses[:-1])
+    assert all("orbit sizes sum to" in w for w in report.witnesses)
     assert "actions.mfs_single" in report.notes[0]
+    assert "orbit sizes" in report.notes[0]
 
 
 if __name__ == "__main__":
