@@ -18,27 +18,29 @@ claim becomes the witness
 innermost frame of its traceback, and the run goes on with the next n.  A
 report's witnesses are empty exactly when the check passed.
 
-lemma-2.1 and lemma-4.1 walk S_n one orbit at a time (_orbit_walk):
-words(n) is scanned once for orbit starts, the dd-free words under
-actions.mfs_hops and, under actions.restricted_hops, the words whose
-double descents are all frozen.  Each start's orbit is walked
-breadth-first over every label, and each member's value (lemma-2.1's
-canonical_rep and ai, lemma-4.1's (beta1, RIX), factor type and lyc) is
-computed once, in a table that lives for that orbit only.  A hop that
-changes a value is named; so is a hop image that is not a rearrangement of
-1..n, "phi'_<x>(<w>) = <image> is not a word of S_<n>" (phi''_ for
-lemma-4.1), as action-axioms names one; so is an orbit that holds more
-than one start, and orbits whose sizes do not sum to the number of words
-scanned, a count that goes through no hop.  A check's
+The three hop checks walk S_n one orbit at a time (_orbit_walk): words(n)
+is scanned once for orbit starts, and each start's orbit is walked
+breadth-first over every hop, in a table {member: hop images} that lives
+for that orbit only and is handed to the check.  lemma-2.1 walks
+actions.mfs_hops from the dd-free words; lemma-4.1 walks
+actions.restricted_hops from the words whose double descents are all
+frozen; action-axioms walks the phi orbits from the words of _fs_start,
+following each member's phi, phi' and phi'' hops, as with correct hops
+each phi' and phi'' orbit lies inside a phi orbit.  lemma-2.1 and
+lemma-4.1 compute each member's value once (canonical_rep and ai; (beta1,
+RIX), factor type and lyc) and name a hop that changes it;
+action-axioms names a hop that is no involution and two hops that do not
+commute.  The walk itself names a hop image that is not a rearrangement
+of 1..n, "<action>_<x>(<w>) = <image> is not a word of S_<n>", an orbit
+that holds more than one start, and orbits whose sizes do not sum to the
+number of words scanned, a count that goes through no hop.  A check's
 ceiling is the only bound on n, so no part of a check stops below its
 n_range.
-action-axioms composes two hops, so it builds its own table of every
-word's n hop images under each action, phi' and phi'' from those two hop
-lists, and names an image outside S_n.  prop-3.5 and f-bijection each
-prove a bijection one way: the inverse undoes the map on every word of the
-domain, so the map is injective.  phi's images are words of S_n, so it
-is a bijection of S_n; f-bijection adds a count, |R0_nk| = |D~_nk| with
-the D~ side counted without f.
+
+prop-3.5 and f-bijection each prove a bijection one way: the inverse
+undoes the map on every word of the domain, so the map is injective.
+phi's images are words of S_n, so it is a bijection of S_n; f-bijection
+adds a count, |R0_nk| = |D~_nk| with the D~ side counted without f.
 
 prop-3.4's enumerated side is a pruned left-to-right search over cut
 positions with the same side conditions, and it stays independent of
@@ -173,19 +175,19 @@ def _thm_1_3(n: int):
             yield f"{w}: alternating={alt} family={member}"
 
 
-def _orbit_walk(n: int, is_start: Callable, value: Callable, hops: Callable,
-                witnesses: Callable):
-    """Walk S_n one orbit at a time, for a claim that every hop keeps a
-    value.  words(n) is scanned once for the words is_start accepts, one
-    per orbit.  Each one's orbit is walked breadth-first along every label
-    of hops, computing each member's value and hop images once, in a table
-    that lives for that orbit only; an image that is not a rearrangement
-    of 1..n is not walked.
+def _orbit_walk(n: int, names: tuple[str, ...], is_start: Callable,
+                hops: Callable, witnesses: Callable):
+    """Walk S_n one orbit at a time, for claims local to an orbit.
+    words(n) is scanned once for the words is_start accepts, one per
+    orbit.  hops(w) lists w's n hop images under each action of names in
+    turn.  Each start's orbit is walked breadth-first along every image,
+    each member's images computed once, in a table {member: images} that
+    lives for that orbit only; an image that is not a rearrangement of
+    1..n is named, "<name>_<x>(<w>) = <image> is not a word of S_<n>", and
+    not walked.
 
-    witnesses(start, start's value, changes) yields the witnesses of one
-    orbit; changes holds (w, x, image, before, after) for each hop of a
-    label x from a member w whose image has another value, after None for
-    an image outside S_n.  An orbit that holds more than one word is_start
+    witnesses(table) yields the witnesses of one orbit, whose start is the
+    table's first key.  An orbit that holds more than one word is_start
     accepts is named, as it is walked more than once; a last witness
     reports orbits whose sizes do not sum to the number of words scanned,
     a count that does not go through hops.  With one start per orbit and
@@ -199,25 +201,34 @@ def _orbit_walk(n: int, is_start: Callable, value: Callable, hops: Callable,
         table = {start: None}
         queue = [start]
         for w in queue:  # the queue grows as the walk meets new members
-            images = hops(w)
-            table[w] = (value(w), images)
-            for image in images:
-                if image not in table and sorted(image) == letters:
-                    table[image] = None
-                    queue.append(image)
+            table[w] = images = hops(w)
+            for i, image in enumerate(images):
+                if image not in table:
+                    if sorted(image) == letters:
+                        table[image] = None
+                        queue.append(image)
+                    else:
+                        yield f"{names[i // n]}_{i % n + 1}({w}) = {image} is not a word of S_{n}"
         covered += len(table)
-        changes = (
-            (w, x, image, before, table[image][0] if image in table else None)
-            for w, (before, images) in table.items()
-            for x, image in enumerate(images, start=1)
-            if image != w and (image not in table or table[image][0] != before)
-        )
-        yield from witnesses(start, table[start][0], changes)
+        yield from witnesses(table)
         starts = sum(map(is_start, table))
         if starts > 1:
             yield f"orbit of {start} holds {starts} orbit starts"
     if covered != scanned:
         yield f"orbit sizes sum to {covered}, but {scanned} words of S_{n} were scanned"
+
+
+def _value_changes(table: dict, values: dict, names: tuple[str, ...]):
+    """(name, x, w) for each hop of a label x from a member w of one
+    action's orbit table to a member whose value differs in its part name;
+    values holds each member's value."""
+    for w, images in table.items():
+        value = values[w]
+        for x, image in enumerate(images, start=1):
+            other = values.get(image, value)  # the walk named an image outside S_n
+            if other != value:
+                yield from ((name, x, w) for name, old, new in zip(names, value, other)
+                            if old != new)
 
 
 def _dd_free(w) -> bool:
@@ -232,6 +243,19 @@ def _dd_all_frozen(w) -> bool:
     Only a word with a double descent asks actions._frozen."""
     dd = dd_letters(w)
     return not dd or actions._frozen(w).issuperset(dd)
+
+
+def _fs_start(w) -> bool:
+    """action-axioms' orbit starts: no double descent, and at each peak x
+    the block of smaller letters left of x has a smaller least letter than
+    the block right of it (the blocks of actions._x_blocks).  phi_x toggles
+    x between double descent and double ascent or swaps a peak's two
+    blocks, and keeps the letters of every block, so each phi orbit has
+    one such word."""
+    blocks = (actions._x_blocks(w, x) for x in w)
+    return not dd_count(w) and all(
+        lo == pos or pos + 1 == hi or min(w[lo:pos]) < min(w[pos + 1: hi])
+        for lo, pos, hi in blocks)
 
 
 def _thm_1_4(n: int):
@@ -253,52 +277,49 @@ def _lemma_1_7(n: int):
 
 def _action_axioms(n: int):
     """Each of the three actions is a Z_2^n action on S_n: every hop is an
-    involution and any two hops commute.  Each word's n hop images are
-    computed once, in one table per action, and every image is looked up
-    there.  The phi' and phi'' tables come from actions.mfs_hops and
-    actions.restricted_hops, the hop lists the other walks use, so each
-    word is factorized once.  These laws compose two hops, so they are not
-    the invariance of a value along one hop that _orbit_walk checks."""
-    hop_lists = (
-        ("phi", lambda w: [actions.foata_strehl(w, x) for x in range(1, n + 1)]),
-        ("phi'", actions.mfs_hops),
-        ("phi''", actions.restricted_hops),
-    )
-    for name, hops in hop_lists:
-        table = {w: hops(w) for w in words(n)}
-        for w, images in table.items():
-            rows = [table.get(image) for image in images]
-            for x, row in enumerate(rows, start=1):
-                if row is None:
-                    yield f"{name}_{x}({w}) = {images[x - 1]} is not a word of S_{n}"
-                elif row[x - 1] != w:
-                    yield f"{name}_{x} is not an involution on {w}"
-            if None in rows:
-                continue
-            for x, y in itertools.combinations(range(1, n + 1), 2):
-                if rows[x - 1][y - 1] != rows[y - 1][x - 1]:
-                    yield f"{name}_{x} and {name}_{y} do not commute on {w}"
+    involution and any two hops commute.  These laws compose two hops, and
+    with correct hops each phi' and phi'' orbit lies inside a phi orbit,
+    so they are checked in one walk over the phi orbits, whose table holds
+    each member's hop images under phi, then phi' and phi''
+    (actions.mfs_hops and actions.restricted_hops, so each word is
+    factorized once)."""
+    names = ("phi", "phi'", "phi''")
+
+    def hops(w):
+        return ([actions.foata_strehl(w, x) for x in range(1, n + 1)]
+                + actions.mfs_hops(w) + actions.restricted_hops(w))
+
+    def witnesses(table):
+        for offset, name in zip(range(0, 3 * n, n), names):
+            own = {w: images[offset: offset + n] for w, images in table.items()}
+            for w, images in own.items():
+                rows = [own.get(image) for image in images]
+                for x, row in enumerate(rows, start=1):
+                    if row is not None and row[x - 1] != w:
+                        yield f"{name}_{x} is not an involution on {w}"
+                if None in rows:
+                    continue  # the walk named the image outside S_n
+                for x, y in itertools.combinations(range(1, n + 1), 2):
+                    if rows[x - 1][y - 1] != rows[y - 1][x - 1]:
+                        yield f"{name}_{x} and {name}_{y} do not commute on {w}"
+
+    return _orbit_walk(n, names, _fs_start, hops, witnesses)
 
 
 def _lemma_2_1(n: int):
     """Every MFS orbit has one dd-free word, the canonical_rep of each of
     its words, and ai is constant on it.  Each orbit is walked from its
     dd-free word, and each member's rep and ai are computed once."""
-    def value(w):
-        return actions.canonical_rep(w, "mfs"), admissible_inversion_count(w)
-
-    def witnesses(start, start_value, changes):
-        if start_value[0] != start:
+    def witnesses(table):
+        values = {w: (actions.canonical_rep(w, "mfs"), admissible_inversion_count(w))
+                  for w in table}
+        start = next(iter(values))
+        if values[start][0] != start:
             yield f"dd-free {start} is not its own rep"
-        for w, x, image, before, after in changes:
-            if after is None:
-                yield f"phi'_{x}({w}) = {image} is not a word of S_{n}"
-                continue
-            for name, old, new in zip(("rep", "ai"), before, after):
-                if old != new:
-                    yield f"{name} changed by hop of {x} on {w}"
+        for name, x, w in _value_changes(table, values, ("rep", "ai")):
+            yield f"{name} changed by hop of {x} on {w}"
 
-    return _orbit_walk(n, _dd_free, value, actions.mfs_hops, witnesses)
+    return _orbit_walk(n, ("phi'",), _dd_free, actions.mfs_hops, witnesses)
 
 
 def _lemma_2_2(n: int):
@@ -453,16 +474,12 @@ def _lemma_4_1(n: int):
             bijections.lyc(w),
         )
 
-    def witnesses(start, start_value, changes):
-        for w, x, image, before, after in changes:
-            if after is None:
-                yield f"phi''_{x}({w}) = {image} is not a word of S_{n}"
-                continue
-            for name, old, new in zip(("beta1/RIX", "factor type", "lyc"), before, after):
-                if old != new:
-                    yield f"{name} changed by {x} on {w}"
+    def witnesses(table):
+        values = {w: value(w) for w in table}
+        for name, x, w in _value_changes(table, values, ("beta1/RIX", "factor type", "lyc")):
+            yield f"{name} changed by {x} on {w}"
 
-    return _orbit_walk(n, _dd_all_frozen, value, actions.restricted_hops, witnesses)
+    return _orbit_walk(n, ("phi''",), _dd_all_frozen, actions.restricted_hops, witnesses)
 
 
 def _lemma_4_2(n: int):

@@ -33,7 +33,7 @@ def parse_permutation(text: str) -> WordT:
             w = tuple(int(part) for part in text.split(","))
         except ValueError as exc:
             raise NotABijection(f"unparseable permutation: {text!r}") from exc
-    elif text.isdigit():
+    elif text.isdecimal():
         w = tuple(int(ch) for ch in text)
     else:
         raise NotABijection(f"unparseable permutation: {text!r}")

@@ -4,6 +4,7 @@ prefixes each witness with its size, caps witnesses and turns an exception
 in a claim into a failed report.  The orbit and bijection checks run each
 kernel once per word."""
 
+import tracemalloc
 from math import factorial
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 
 from eulerian_gamma import actions, bijections, checks, families, rixfact
 from eulerian_gamma.checks import CHECKS, WITNESS_CAP, Check, run_check, run_checks
-from eulerian_gamma.perm import words
+from eulerian_gamma.perm import is_alternating, words
 
 EXPECTED_IDS = {
     "thm-1.1", "thm-1.2", "thm-1.3", "thm-1.4", "thm-1.5",
@@ -155,9 +156,13 @@ def test_orbit_and_bijection_checks_run_each_kernel_once_per_word():
         "rix_factorize": factorial(n),
     }
     assert _count_calls(bijections, ["lyc"], "lemma-4.1", n) == {"lyc": factorial(n)}
-    # action-axioms takes each word's phi'' hops from one factorization
+    # action-axioms takes each word's phi'' hops from one factorization,
+    # and its n phi hops once
     assert _count_calls(rixfact, ["rix_factorize"], "action-axioms", n) == {
         "rix_factorize": factorial(n),
+    }
+    assert _count_calls(actions, ["foata_strehl"], "action-axioms", n) == {
+        "foata_strehl": n * factorial(n),
     }
     # f_map once per R0 word and f_inv once per D~ word: |R0_n| = |D~_n| = |E_n|
     domain = sum(families.sizes(families.cda_free_derangement_cyc_table(n)).values())
@@ -173,10 +178,25 @@ def test_orbit_and_bijection_checks_run_each_kernel_once_per_word():
     assert _count_calls(families, ["tally"], "lemma-4.2", n) == {"tally": 0}
 
 
+def _phi_orbit(w):
+    """The orbit of w under every actions.foata_strehl hop (BFS)."""
+    orbit = {w}
+    queue = [w]
+    for v in queue:
+        for x in range(1, len(w) + 1):
+            image = actions.foata_strehl(v, x)
+            if image not in orbit:
+                orbit.add(image)
+                queue.append(image)
+    return orbit
+
+
 def test_the_orbit_walks_start_once_in_each_orbit():
-    """lemma-2.1's and lemma-4.1's start rules pick exactly one word of
-    each orbit of actions.orbit; the MFS starts are the fixed points of
-    canonical_rep, and the restricted starts of rix 0 are the R0 words."""
+    """The three start rules pick exactly one word of each orbit: of
+    actions.orbit for lemma-2.1 and lemma-4.1, of a foata_strehl BFS for
+    action-axioms, whose starts are as many as the alternating words. The
+    MFS starts are the fixed points of canonical_rep, and the restricted
+    starts of rix 0 are the R0 words."""
     starts = {"mfs": checks._dd_free, "restricted": checks._dd_all_frozen}
     for n in range(1, 8):
         for action, is_start in starts.items():
@@ -186,6 +206,13 @@ def test_the_orbit_walks_start_once_in_each_orbit():
                     orbit = actions.orbit(w, action)
                     walked |= orbit
                     assert sum(map(is_start, orbit)) == 1, (action, w)
+        walked = set()
+        for w in words(n):
+            if w not in walked:
+                orbit = _phi_orbit(w)
+                walked |= orbit
+                assert sum(map(checks._fs_start, orbit)) == 1, ("phi", w)
+        assert sum(map(checks._fs_start, words(n))) == sum(map(is_alternating, words(n)))
         for w in words(n):
             assert checks._dd_free(w) == (actions.canonical_rep(w, "mfs") == w), w
             if rixfact.rix(w) == 0:
@@ -204,7 +231,21 @@ def test_an_orbit_walked_twice_is_named():
     def is_start(w):
         return w in {(1, 2, 3), (1, 3, 2), (2, 1, 3)}
 
-    assert list(checks._orbit_walk(3, is_start, len, hops, lambda *_: ())) == [
+    assert list(checks._orbit_walk(3, ("phi'",), is_start, hops, lambda _: ())) == [
         "orbit of (1, 2, 3) holds 2 orbit starts",
         "orbit of (1, 3, 2) holds 2 orbit starts",
     ]
+
+
+@pytest.mark.parametrize("check_id", ["action-axioms", "lemma-2.1", "lemma-4.1"])
+def test_a_hop_check_holds_no_table_over_s_n(check_id):
+    """The hop checks hold one orbit's table at a time: at n = 6 a check's
+    traced peak stays under 0.25 MB, where tables of every word's hop
+    images under the three actions take about 0.85 MB."""
+    tracemalloc.start()
+    try:
+        assert list(CHECKS[check_id].claim(6)) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 2**20, peak

@@ -55,6 +55,13 @@ def test_stats_parse_failure_exits_2(capsys):
     assert "unparseable" in err
 
 
+def test_stats_superscript_digit_exits_2(capsys):
+    """"²" is a digit to str.isdigit, but int rejects it."""
+    code, _, err = run_cli(capsys, "stats", "²")
+    assert code == 2
+    assert "unparseable" in err
+
+
 def test_stats_text_and_tsv(capsys):
     code, out, _ = run_cli(capsys, "stats", "4132")
     assert code == 0

@@ -32,7 +32,8 @@ from eulerian_gamma.perm import (
 def test_permutation_validates():
     assert parse_permutation("213") == (2, 1, 3)
     assert parse_permutation("") == ()
-    for text in ("112", "23", "1,1,2", "2,3", "0,1"):
+    # "²" is a digit that int rejects
+    for text in ("112", "23", "1,1,2", "2,3", "0,1", "²", "1²"):
         with pytest.raises(NotABijection):
             parse_permutation(text)
 
