@@ -2,13 +2,15 @@
 
 phi_x swaps the maximal small-letter blocks around x; the modified action
 phi_x' only moves double ascents / double descents; the restricted action
-phi_x'' additionally freezes beta1 and all rixed points.
+phi_x'' additionally freezes beta1 and all rixed points.  canonical_rep
+finds the representative of an MFS orbit; the restricted orbits have no
+such shortcut here, and the lemma-4.2 check walks them.
 """
 
 from __future__ import annotations
 
 from . import rixfact
-from .errors import LabelOutOfRange, NotInDomain
+from .errors import LabelOutOfRange
 from .perm import WordT, dd_letters
 
 
@@ -86,28 +88,12 @@ def orbit(start: WordT, action: str = "mfs") -> set[WordT]:
 
 
 def canonical_rep(w: WordT, action: str = "mfs") -> WordT:
-    """mfs: the unique orbit element without double descent.
-
-    restricted: for sigma with rix(sigma) = 0, the unique orbit element
-    whose only double descent is beta1.  Hops commute and each one toggles
-    only its own letter between double descent and double ascent, so
-    hopping each double-descent letter once reaches the representative.
-    A restricted hop keeps beta1 and RIX (lemma-4.1), so the frozen
-    letters are taken once, from sigma, and beta1 stays in place; the
-    restricted representative is right only where lemma-4.1 holds, which
-    the lemma-4.1 check verifies on its own.
-    """
-    if action == "mfs":
-        frozen = frozenset()
-    elif action == "restricted":
-        if rixfact.rix(w) != 0:
-            raise NotInDomain(
-                "restricted canonical representative needs rix(sigma) = 0"
-            )
-        frozen = _frozen(w) if w else frozenset()
-    else:
+    """The unique orbit element of the MFS action without double descent.
+    Hops commute and each one toggles only its own letter between double
+    descent and double ascent, so hopping each double-descent letter once
+    reaches it.  Only the action "mfs" is taken."""
+    if action != "mfs":
         raise ValueError(f"unknown action {action!r}")
     for x in sorted(dd_letters(w)):
-        if x not in frozen:
-            w = mfs_single(w, x)
+        w = mfs_single(w, x)
     return w

@@ -18,24 +18,25 @@ claim becomes the witness
 innermost frame of its traceback, and the run goes on with the next n.  A
 report's witnesses are empty exactly when the check passed.
 
-The three hop checks walk S_n one orbit at a time (_orbit_walk): words(n)
-is scanned once for orbit starts, and each start's orbit is walked
-breadth-first over every hop, in a table {member: hop images} that lives
-for that orbit only and is handed to the check.  lemma-2.1 walks
-actions.mfs_hops from the dd-free words; lemma-4.1 walks
-actions.restricted_hops from the words whose double descents are all
-frozen; action-axioms walks the phi orbits from the words of _fs_start,
-following each member's phi, phi' and phi'' hops, as with correct hops
-each phi' and phi'' orbit lies inside a phi orbit.  lemma-2.1 and
-lemma-4.1 compute each member's value once (canonical_rep and ai; (beta1,
-RIX), factor type and lyc) and name a hop that changes it;
-action-axioms names a hop that is no involution and two hops that do not
-commute.  The walk itself names a hop image that is not a rearrangement
-of 1..n, "<action>_<x>(<w>) = <image> is not a word of S_<n>", an orbit
-that holds more than one start, and orbits whose sizes do not sum to the
-number of words scanned, a count that goes through no hop.  A check's
-ceiling is the only bound on n, so no part of a check stops below its
-n_range.
+The four hop checks walk their words one orbit at a time (_orbit_walk):
+the words, S_n or for lemma-4.2 the rix-0 words, are scanned once for
+orbit starts, and each start's orbit is walked breadth-first over every
+hop, in a table {member: hop images} that lives for that orbit only and
+is handed to the check.  lemma-2.1 walks actions.mfs_hops from the
+dd-free words; lemma-4.1 and lemma-4.2 walk actions.restricted_hops from
+the words whose double descents are all frozen; action-axioms walks the
+phi orbits from the words of _fs_start, following each member's phi,
+phi' and phi'' hops, as with correct hops each phi' and phi'' orbit lies
+inside a phi orbit.  lemma-2.1 and lemma-4.1 compute each member's value
+once (canonical_rep and ai; (beta1, RIX), factor type and lyc) and name a
+hop that changes it; lemma-4.2 names an orbit whose R0 words are not its
+start alone; action-axioms names a hop that is no involution and two hops
+that do not commute.  The walk itself names a hop image that is not a
+rearrangement of 1..n, "<action>_<x>(<w>) = <image> is not a word of
+S_<n>", an orbit that holds more than one start, and orbits whose sizes
+do not sum to the number of words scanned, a count that goes through no
+hop.  A check's ceiling is the only bound on n, so no part of a check
+stops below its n_range.
 
 prop-3.5 and f-bijection each prove a bijection one way: the inverse
 undoes the map on every word of the domain, so the map is injective.
@@ -176,15 +177,15 @@ def _thm_1_3(n: int):
 
 
 def _orbit_walk(n: int, names: tuple[str, ...], is_start: Callable,
-                hops: Callable, witnesses: Callable):
-    """Walk S_n one orbit at a time, for claims local to an orbit.
-    words(n) is scanned once for the words is_start accepts, one per
-    orbit.  hops(w) lists w's n hop images under each action of names in
-    turn.  Each start's orbit is walked breadth-first along every image,
-    each member's images computed once, in a table {member: images} that
-    lives for that orbit only; an image that is not a rearrangement of
-    1..n is named, "<name>_<x>(<w>) = <image> is not a word of S_<n>", and
-    not walked.
+                hops: Callable, witnesses: Callable, scan: Iterable | None = None):
+    """Walk the words of scan, words(n) by default, one orbit at a time,
+    for claims local to an orbit.  scan is read once for the words
+    is_start accepts, one per orbit.  hops(w) lists w's n hop images under
+    each action of names in turn.  Each start's orbit is walked
+    breadth-first along every image, each member's images computed once,
+    in a table {member: images} that lives for that orbit only; an image
+    that is not a rearrangement of 1..n is named, "<name>_<x>(<w>) =
+    <image> is not a word of S_<n>", and not walked.
 
     witnesses(table) yields the witnesses of one orbit, whose start is the
     table's first key.  An orbit that holds more than one word is_start
@@ -194,7 +195,7 @@ def _orbit_walk(n: int, names: tuple[str, ...], is_start: Callable,
     every scanned word covered, the orbits partition the words scanned."""
     letters = list(range(1, n + 1))
     scanned = covered = 0
-    for start in words(n):
+    for start in words(n) if scan is None else scan:
         scanned += 1
         if not is_start(start):
             continue
@@ -203,7 +204,7 @@ def _orbit_walk(n: int, names: tuple[str, ...], is_start: Callable,
         for w in queue:  # the queue grows as the walk meets new members
             table[w] = images = hops(w)
             for i, image in enumerate(images):
-                if image not in table:
+                if image is not w and image not in table:
                     if sorted(image) == letters:
                         table[image] = None
                         queue.append(image)
@@ -211,7 +212,7 @@ def _orbit_walk(n: int, names: tuple[str, ...], is_start: Callable,
                         yield f"{names[i // n]}_{i % n + 1}({w}) = {image} is not a word of S_{n}"
         covered += len(table)
         yield from witnesses(table)
-        starts = sum(map(is_start, table))
+        starts = 1 + sum(map(is_start, itertools.islice(table, 1, None)))
         if starts > 1:
             yield f"orbit of {start} holds {starts} orbit starts"
     if covered != scanned:
@@ -237,12 +238,14 @@ def _dd_free(w) -> bool:
 
 
 def _dd_all_frozen(w) -> bool:
-    """lemma-4.1's orbit starts: each restricted orbit has one word whose
-    double descents are all frozen, as every hop keeps the frozen letters
-    and toggles its own letter between double descent and double ascent.
-    Only a word with a double descent asks actions._frozen."""
+    """The restricted orbit starts: each restricted orbit has one word
+    whose double descents are all frozen, as every hop keeps the frozen
+    letters and toggles its own letter between double descent and double
+    ascent.  A rixed point is no double descent (its right neighbour is
+    larger, or it is last), so a start has no double descent but beta1,
+    and only a word with exactly one asks actions._frozen."""
     dd = dd_letters(w)
-    return not dd or actions._frozen(w).issuperset(dd)
+    return not dd or (len(dd) == 1 and dd[0] in actions._frozen(w))
 
 
 def _fs_start(w) -> bool:
@@ -363,32 +366,35 @@ def _valid_factorizations(w: tuple[int, ...]):
     ends tried from s stop once the running maximum reaches it.  Written
     without rixfact, whose factorization it is checked against.
     """
-    n = len(w)
-    valid = []
-
-    def beta_ok(beta, prev) -> bool:
-        if beta[0] >= prev:
-            return False
-        m = max(beta)
-        if not (beta[-1] == m or (len(beta) >= 2 and beta[0] == m)):
-            return False
-        tops = [beta[i] for i in range(len(beta) - 1) if beta[i] > beta[i + 1]]
-        return not tops or beta[0] == max(tops)
-
-    def search(start: int, prev: int, alphas: tuple) -> None:
-        if beta_ok(w[start:], prev):
-            valid.append((alphas, w[start:]))
-        top = w[start]
-        for end in range(start + 1, n - 1):  # leave beta nonempty
-            top = max(top, w[end])
-            if top >= prev:
-                break
-            if w[end] == top:
-                search(end + 1, top, alphas + (w[start: end + 1],))
-
-    if n:
-        search(0, n + 1, ())
+    valid: list = []
+    if w:
+        _search_cuts(w, 0, len(w) + 1, (), valid)
     return valid
+
+
+def _beta_ok(beta: tuple[int, ...], prev: int) -> bool:
+    """beta may end a valid factorization whose last alpha ends in prev."""
+    if beta[0] >= prev:
+        return False
+    m = max(beta)
+    if not (beta[-1] == m or (len(beta) >= 2 and beta[0] == m)):
+        return False
+    tops = [beta[i] for i in range(len(beta) - 1) if beta[i] > beta[i + 1]]
+    return not tops or beta[0] == max(tops)
+
+
+def _search_cuts(w: tuple[int, ...], start: int, prev: int, alphas: tuple, valid: list) -> None:
+    """Append to valid each valid factorization of w that cuts alphas off
+    before start, the last of them ending in prev."""
+    if _beta_ok(w[start:], prev):
+        valid.append((alphas, w[start:]))
+    top = w[start]
+    for end in range(start + 1, len(w) - 1):  # leave beta nonempty
+        top = max(top, w[end])
+        if top >= prev:
+            break
+        if w[end] == top:
+            _search_cuts(w, end + 1, top, alphas + (w[start: end + 1],), valid)
 
 
 def _prop_3_4(n: int):
@@ -483,15 +489,22 @@ def _lemma_4_1(n: int):
 
 
 def _lemma_4_2(n: int):
+    """Each restricted orbit of the rix-0 words holds one R0 word, its
+    start, and the (des, ai) terms of the orbits sum to the gamma
+    expansion of the R0 table.  The orbits are walked from lemma-4.1's
+    starts, and their sizes must sum to the number of rix-0 words."""
     counts: Counter = Counter()
-    for w in words(n):
-        if rixfact.rix(w) == 0:
-            counts[(des(w), admissible_inversion_count(w))] += 1
-            rep = actions.canonical_rep(w, "restricted")
-            if dd_count(rep) != 1:
-                yield f"restricted rep of {w} has dd != 1"
-            if rep != w and families.r0_index(w) is not None:
-                yield f"dd=1 elem {w} is not its own rep"
+
+    def witnesses(table):
+        start = next(iter(table))
+        r0 = [w for w in table if families.r0_index(w) is not None]
+        if r0 != [start]:
+            yield f"restricted orbit of {start} holds R0 words {r0}"
+        counts.update((des(w), admissible_inversion_count(w)) for w in table)
+
+    rix_0 = (w for w in words(n) if rixfact.rix(w) == 0)
+    yield from _orbit_walk(n, ("phi''",), _dd_all_frozen, actions.restricted_hops,
+                           witnesses, rix_0)
     lhs = MPoly.from_counts(counts, "tq")
     r0_ai = families.table(n, families.r0_index, admissible_inversion_count, "q")
     if lhs != gamma_sum(r0_ai, n):
@@ -703,12 +716,7 @@ CHECKS: dict[str, Check] = {
     "prop-3.5": Check(8, _prop_3_5),
     "f-bijection": Check(8, _f_bijection),
     "lemma-4.1": Check(8, _lemma_4_1),
-    "lemma-4.2": Check(8, _lemma_4_2, (
-        "the restricted canonical_rep takes the frozen letters once, from "
-        "the word, as a restricted hop keeps beta1 and RIX; so its "
-        "representative is right only where lemma-4.1 holds, which "
-        "lemma-4.1 checks on its own",
-    )),
+    "lemma-4.2": Check(8, _lemma_4_2),
     "prop-5.1": Check(6, _prop_5_1),
     "prop-5.2": Check(9, _prop_5_2, (
         "GammaTilde recurrence verified in the corrected form "

@@ -15,9 +15,9 @@ from eulerian_gamma.actions import (
     restricted_hops,
     restricted_mfs_single,
 )
-from eulerian_gamma.errors import LabelOutOfRange, NotInDomain
+from eulerian_gamma.errors import LabelOutOfRange
 from eulerian_gamma.perm import dd_count, des, shape_counts
-from eulerian_gamma.rixfact import rix, rix_factorize
+from eulerian_gamma.rixfact import rix_factorize
 
 
 def test_x_factorization_worked_example():
@@ -103,19 +103,7 @@ def test_canonical_rep_mfs():
             ) == 1
 
 
-def test_canonical_rep_restricted():
-    for n in range(2, 7):
-        for w in itertools.permutations(range(1, n + 1)):
-            if rix(w) != 0:
-                continue
-            rep = canonical_rep(w, "restricted")
-            assert dd_count(rep) == 1
-            assert rep in orbit(w, "restricted")
-            assert sum(
-                1 for v in orbit(w, "restricted") if dd_count(v) == 1
-            ) == 1
-
-
-def test_canonical_rep_restricted_requires_rix_zero():
-    with pytest.raises(NotInDomain):
-        canonical_rep((1, 2, 3), "restricted")
+def test_canonical_rep_takes_only_the_mfs_action():
+    """The restricted representatives are lemma-4.2's orbit starts."""
+    with pytest.raises(ValueError, match="unknown action 'restricted'"):
+        canonical_rep((2, 1, 3), "restricted")

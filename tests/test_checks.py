@@ -174,8 +174,13 @@ def test_orbit_and_bijection_checks_run_each_kernel_once_per_word():
     assert _count_calls(rixfact, ["rix_factorize"], "f-bijection", n) == {
         "rix_factorize": domain,
     }
-    # lemma-4.2 sums its rix-0 terms in the loop that visits them
+    # lemma-4.2 sums its rix-0 terms in the loop that visits them, and
+    # finds each R0 word as the start of a restricted orbit it walks, so it
+    # hops each rix-0 word once (D_6 = 265) and asks canonical_rep nothing
     assert _count_calls(families, ["tally"], "lemma-4.2", n) == {"tally": 0}
+    assert _count_calls(actions, ["restricted_hops", "canonical_rep"], "lemma-4.2", n) == {
+        "restricted_hops": 265, "canonical_rep": 0,
+    }
 
 
 def _phi_orbit(w):

@@ -4,6 +4,7 @@ the 2^(n-1) ways to cut a word, each kept when it meets the side
 conditions of the rix-factorization."""
 
 import functools
+import gc
 import random
 
 import pytest
@@ -55,6 +56,15 @@ def _literal_valid_factorizations(w):
 def test_pruned_search_matches_every_cut_on_s_n(n):
     for w in words(n):
         assert _valid_factorizations(w) == _literal_valid_factorizations(w), w
+
+
+def test_pruned_search_leaves_no_reference_cycle():
+    """The search is module-level functions of the word, with no closure
+    that refers to itself, so it leaves nothing for the cyclic collector."""
+    gc.collect()
+    for w in words(6):
+        _valid_factorizations(w)
+    assert gc.collect() == 0
 
 
 def test_pruned_search_matches_every_cut_on_long_words():

@@ -3,8 +3,9 @@ rix-factorization by repeated cuts after the greatest descent top, Phi
 through hook cycles and word_from_cycles, the standard cycle form by
 rotating and sorting the cycles, phi_inv by concatenating its parts, ai
 through the next greater letter of each w_i, cda by walking each cycle,
-and des and the derangement test by comparing letters pairwise.  Each
-reference is asserted equal to its kernel on every word of
+des and the derangement test by comparing letters pairwise, and the
+restricted orbit start rule by testing every double descent for a frozen
+letter.  Each reference is asserted equal to its kernel on every word of
 S_n for n <= 8 and on seeded random words up to n = 200."""
 
 import random
@@ -12,10 +13,11 @@ from typing import Sequence
 
 import pytest
 
-from eulerian_gamma import bijections, rixfact
+from eulerian_gamma import actions, bijections, checks, rixfact
 from eulerian_gamma.perm import (
     admissible_inversion_count,
     cda_count,
+    dd_letters,
     des,
     is_derangement,
     words,
@@ -168,6 +170,11 @@ def literal_derangement(w):
     return all(v != i for i, v in enumerate(w, 1))
 
 
+def _literal_dd_all_frozen(w):
+    """Every double-descent letter is frozen under the restricted action."""
+    return set(dd_letters(w)) <= actions._frozen(w)
+
+
 KERNELS = [
     ("rix_factorize", rixfact.rix_factorize, _literal_rix_factorize),
     ("phi", bijections.phi, _literal_phi),
@@ -177,6 +184,7 @@ KERNELS = [
     ("cda_count", cda_count, literal_cda),
     ("des", des, literal_des),
     ("is_derangement", is_derangement, literal_derangement),
+    ("dd_all_frozen", checks._dd_all_frozen, _literal_dd_all_frozen),
 ]
 LONG_SIZES = (10, 20, 40, 60, 200)
 

@@ -272,6 +272,19 @@ def test_size_witness_lists_the_sizes_in_k_order():
     )
 
 
+def test_restricted_orbit_witness_names_its_r0_words():
+    """lemma-4.2 names each restricted orbit whose R0 words are not its
+    start alone: here 4321, made an R0 word, shares the orbit of 4123."""
+    def r0_index_with_4321(w):
+        return 1 if w == (4, 3, 2, 1) else _R0_INDEX(w)
+
+    with _mutated(families, "r0_index", r0_index_with_4321):
+        report = run_check("lemma-4.2", max_n=4)
+    assert report.witnesses[0] == (
+        "n=4: restricted orbit of (4, 1, 2, 3) holds R0 words "
+        "[(4, 1, 2, 3), (4, 3, 2, 1)]")
+
+
 def test_hop_witness_names_the_label_and_the_word():
     """lemma-2.1 reports each hop that changes a representative or ai,
     naming the value, through the one orbit walk. Under phi_x the orbits
