@@ -15,9 +15,10 @@ from eulerian_gamma.actions import (
     restricted_hops,
     restricted_mfs_single,
 )
+from eulerian_gamma.checks import _dd_all_frozen
 from eulerian_gamma.errors import LabelOutOfRange
-from eulerian_gamma.perm import dd_count, des, shape_counts
-from eulerian_gamma.rixfact import rix_factorize
+from eulerian_gamma.perm import dd_count, dd_letters, des, shape_counts
+from eulerian_gamma.rixfact import rix, rix_factorize
 
 
 def test_x_factorization_worked_example():
@@ -101,6 +102,24 @@ def test_canonical_rep_mfs():
             assert sum(
                 1 for v in orbit(w, "mfs") if dd_count(v) == 0
             ) == 1
+
+
+def test_canonical_rep_restricted():
+    """The restricted representative of a rix-0 word: the one word of its
+    restricted orbit with a single double descent (lemma 4.2).  Hopping
+    each double descent of sigma once with phi'' reaches it, and it is the
+    orbit start of lemma-4.2's walk; canonical_rep no longer computes it."""
+    for n in range(2, 7):
+        for w in itertools.permutations(range(1, n + 1)):
+            if rix(w) != 0:
+                continue
+            rep = w
+            for x in sorted(dd_letters(w)):
+                rep = restricted_mfs_single(rep, x)
+            orb = orbit(w, "restricted")
+            assert rep in orb
+            assert [v for v in orb if dd_count(v) == 1] == [rep]
+            assert [v for v in orb if _dd_all_frozen(v)] == [rep]
 
 
 def test_canonical_rep_takes_only_the_mfs_action():
