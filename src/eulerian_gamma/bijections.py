@@ -8,7 +8,7 @@ permutations ending with an ascent.
 
 from __future__ import annotations
 
-from . import actions, families, rixfact
+from . import rixfact
 from .errors import NotInDomain
 from .perm import WordT, cyc_count
 
@@ -98,12 +98,16 @@ def lyc(w: WordT) -> int:
 def f_map(w: WordT) -> WordT:
     """Hop beta1: bijection from R0_{n,k} (rix = 0, dd = 1, des = k) onto
     D~_{n,k} (dd = 0, a final ascent, des = k - 1)."""
+    from . import actions, families
+
     if families.r0_index(w) is None:
         raise NotInDomain("f needs rix(sigma) = 0 and dd(sigma) = 1")
     return actions.mfs_single(w, rixfact.rix_factorize(w).beta1)
 
 
 def f_inv(w: WordT) -> WordT:
+    from . import actions, families
+
     if families.d_tilde_index(w) is None:
         raise NotInDomain(
             "f_inv needs dd(sigma) = 0 and a final ascent (n >= 2)"

@@ -4,10 +4,10 @@ bijections, orbits, and rix-factorizations.
 Exit-code contract: 0 success, 1 verification/domain failure, 2 usage
 error (including unparseable permutations and unknown check ids).
 
-Start-up loads only what parsing and the table commands need: perm,
-rixfact and families (with mpoly).  verify loads checks (with series,
-actions and bijections), orbit loads actions and map loads bijections,
-each when the subcommand runs.
+Start-up loads only what parsing needs: errors and perm.  gamma loads
+families (with mpoly and rixfact), verify loads checks (with families,
+series, actions and bijections), orbit loads actions, map loads
+bijections and rixfact loads rixfact, each when the subcommand runs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import json
 import os
 import sys
 
-from . import families, rixfact
 from .errors import (
     BudgetExceeded,
     MismatchAgainstDirect,
@@ -136,11 +135,23 @@ def _render_value(value) -> str:
     return str(value)
 
 
+def _family(name: str):
+    """families.<name>, loaded on the first call; the stand-in carries the
+    function's __name__, which a tracer reads to swap in its own."""
+    def table(n: int):
+        from . import families
+
+        return getattr(families, name)(n)
+
+    table.__name__ = name
+    return table
+
+
 _GAMMA_FAMILIES = {
-    "basic": families.gamma_basic,
-    "derangement": families.gamma_derangement,
-    "cyc": families.cyc_gamma,
-    "sw3": families.sw3_gamma,
+    "basic": _family("gamma_basic"),
+    "derangement": _family("gamma_derangement"),
+    "cyc": _family("cyc_gamma"),
+    "sw3": _family("sw3_gamma"),
 }
 
 
@@ -257,6 +268,8 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def cmd_rixfact(args: argparse.Namespace) -> int:
+    from . import rixfact
+
     w = parse_permutation(args.perm)
     if not w:
         raise UsageError("rixfact requires n >= 1")

@@ -71,14 +71,7 @@ def des(w: Sequence[int]) -> int:
 
 
 def inv_count(w: Sequence[int]) -> int:
-    n = len(w)
-    total = 0
-    for i in range(n):
-        wi = w[i]
-        for j in range(i + 1, n):
-            if wi > w[j]:
-                total += 1
-    return total
+    return sum(itertools.starmap(gt, itertools.combinations(w, 2)))
 
 
 def inverse(w: Sequence[int]) -> WordT:

@@ -388,6 +388,19 @@ def test_worked_example_commands_leave_the_harness_unloaded():
     assert not harness, f"loaded {sorted(harness)}"
 
 
+def test_one_word_commands_leave_the_polynomials_unloaded():
+    """stats, map phi, orbit and rixfact print one permutation's objects
+    without families and mpoly, which only gamma, verify and map f|f-inv
+    load."""
+    outputs, modules = probe(
+        "cli", ["stats", "4132"], ["map", "phi", "4132"], ["orbit", "4132"],
+        ["rixfact", "4132"],
+    )
+    assert [code for code, _ in outputs] == [0] * 4
+    polynomials = {"eulerian_gamma.families", "eulerian_gamma.mpoly"} & modules
+    assert not polynomials, f"loaded {sorted(polynomials)}"
+
+
 def test_map_phi_worked_example(capsys):
     code, out, _ = run_cli(capsys, "map", "phi", "7,6,9,1,8,4,2,3,5,10")
     assert code == 0

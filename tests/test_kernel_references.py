@@ -2,11 +2,12 @@
 rix-factorization by repeated cuts after the greatest descent top, Phi
 through hook cycles and word_from_cycles, the standard cycle form by
 rotating and sorting the cycles, phi_inv by concatenating its parts, ai
-through the next greater letter of each w_i, cda by walking each cycle,
-des and the derangement test by comparing letters pairwise, and the
-restricted orbit start rule by testing every double descent for a frozen
-letter.  Each reference is asserted equal to its kernel on every word of
-S_n for n <= 8 and on seeded random words up to n = 200."""
+through the next greater letter of each w_i, inv by counting the smaller
+letters after each w_i, cda by walking each cycle, des and the
+derangement test by comparing letters pairwise, and the restricted orbit
+start rule by testing every double descent for a frozen letter.  Each
+reference is asserted equal to its kernel on every word of S_n for n <= 8
+and on seeded random words up to n = 200."""
 
 import random
 from typing import Sequence
@@ -19,6 +20,7 @@ from eulerian_gamma.perm import (
     cda_count,
     dd_letters,
     des,
+    inv_count,
     is_derangement,
     words,
 )
@@ -160,6 +162,11 @@ def _literal_ai(w):
     return total
 
 
+def _literal_inv(w):
+    """For each i, the letters after w_i that are smaller than it."""
+    return sum(1 for i, wi in enumerate(w) for v in w[i + 1:] if v < wi)
+
+
 def literal_des(w):
     """Positions i with w_i > w_(i+1)."""
     return sum(1 for a, b in zip(w, w[1:]) if a > b)
@@ -181,6 +188,7 @@ KERNELS = [
     ("scf", bijections.scf, _literal_scf),
     ("phi_inv", bijections.phi_inv, _literal_phi_inv),
     ("ai", admissible_inversion_count, _literal_ai),
+    ("inv_count", inv_count, _literal_inv),
     ("cda_count", cda_count, literal_cda),
     ("des", des, literal_des),
     ("is_derangement", is_derangement, literal_derangement),

@@ -307,6 +307,25 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
     assert not changed, f"not restored by Tracer.uninstall(): {changed}"
 
 
+def test_benchmark_tracer_spans_a_gamma_table(monkeypatch, capsys):
+    """cli dispatches gamma through stand-ins that load families on their
+    first call; the tracer swaps in its spanned functions by their names."""
+    from eulerian_gamma import cli
+
+    argv = ["gamma", "basic", "4", "--output", "json"]
+    assert cli.main(argv) == 0
+    untraced = capsys.readouterr().out
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracing").Tracer()
+    try:
+        tracer.install()
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert "families.gamma_basic" in [span[0] for span in tracer.spans]
+    assert capsys.readouterr().out == untraced
+
+
 def _contract_breaks(registry: dict, reference: dict, max_n: int) -> list[str]:
     """Each benchmark id the registry lacks or checks to another size:
     the benchmark expects n_range [1, min(max_n, its ceiling)]."""
@@ -335,11 +354,15 @@ def test_registry_meets_the_benchmark_ceilings(monkeypatch):
 
 # module: package modules that importing it must leave unloaded. The package
 # entry point re-exports nothing, so a kernel module loads only what it
-# imports itself; cli imports checks, actions and bijections inside the
-# subcommands that call them, so start-up compiles none of them.
+# imports itself. cli imports every module past errors and perm inside the
+# subcommands that call them, so start-up compiles none of them; bijections
+# imports actions and families inside f and f_inv, so phi and lyc (and
+# with them stats) load no polynomial.
 UNLOADED = {
     "perm": {"checks", "families", "mpoly", "series"},
-    "cli": {"checks", "series", "actions", "bijections"},
+    "cli": {"checks", "series", "actions", "bijections", "families", "mpoly",
+            "rixfact"},
+    "bijections": {"actions", "families", "mpoly"},
 }
 
 
@@ -367,3 +390,8 @@ def test_kernel_import_leaves_the_harness_unloaded():
 
 def test_cli_import_leaves_the_lazy_modules_unloaded():
     assert not _unwanted("cli"), f"import eulerian_gamma.cli loaded {_unwanted('cli')}"
+
+
+def test_bijections_import_leaves_the_polynomials_unloaded():
+    assert not _unwanted("bijections"), (
+        f"import eulerian_gamma.bijections loaded {_unwanted('bijections')}")
