@@ -222,7 +222,10 @@ def _orbit_walk(n: int, names: tuple[str, ...], is_start: Callable,
 def _value_changes(table: dict, values: dict, names: tuple[str, ...]):
     """(name, x, w) for each hop of a label x from a member w of one
     action's orbit table to a member whose value differs in its part name;
-    values holds each member's value."""
+    values holds each member's value; an orbit of one value has none."""
+    start = values[next(iter(table))]
+    if all(value == start for value in values.values()):
+        return
     for w, images in table.items():
         value = values[w]
         for x, image in enumerate(images, start=1):

@@ -8,6 +8,8 @@ Start-up loads only what parsing needs: errors and perm.  gamma loads
 families (with mpoly and rixfact), verify loads checks (with families,
 series, actions and bijections), orbit loads actions, map loads
 bijections and rixfact loads rixfact, each when the subcommand runs.
+verify loads fanout only when more than one worker starts, and it forks
+them; where os.fork is missing, --threads runs the checks serially.
 """
 
 from __future__ import annotations
@@ -184,15 +186,8 @@ def cmd_gamma(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_one(item: tuple[str, int]):
-    from . import checks
-
-    check_id, max_n = item
-    return checks.run_check(check_id, max_n)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    # loaded before any pool starts, so forked workers inherit it
+    # loaded before any worker is forked, so every worker inherits it
     from . import checks
 
     if args.check_ids == ["all"]:
@@ -204,18 +199,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise UsageError(f"unknown check ids: {', '.join(unknown)}")
     if args.threads < 0:
         raise UsageError(f"--threads must be 0 (auto) or positive, got {args.threads}")
-    jobs = [(cid, args.max_n) for cid in ids]
-    # the pool starts every worker at once, so never more than there are jobs
-    workers = min(args.threads or os.cpu_count() or 1, len(jobs))
-    if workers <= 1:
-        reports = [_run_one(job) for job in jobs]
+    # never more workers than checks; without os.fork the run is serial
+    workers = min(args.threads or os.cpu_count() or 1, len(ids))
+    if workers <= 1 or not hasattr(os, "fork"):
+        reports = checks.run_checks(ids, args.max_n)
     else:
-        # loaded here: a serial run never pays for the pool's imports
-        from concurrent.futures import ProcessPoolExecutor
+        # loaded here: a serial run never compiles the fan-out
+        from . import fanout
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_one, jobs))
-    # restore the requested emission order regardless of worker count
+        reports = fanout.run_checks(ids, args.max_n, workers)
     for report in reports:
         data = report.as_dict()
         if args.output == "tsv":

@@ -3,6 +3,7 @@ exit-code contract (0 success, 1 verification/domain failure, 2 usage)."""
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -279,25 +280,18 @@ def test_verify_contains_a_failing_check(capsys, monkeypatch):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Replaces ProcessPoolExecutor, where verify imports it from when it
-    starts a pool, by an in-process stand-in and returns the max_workers of
-    every pool verify asked for."""
+    """Replaces fanout.run_checks, the fan-out verify calls when more than
+    one worker starts, by an in-process stand-in and returns the worker
+    count of every fan-out verify asked for."""
+    from eulerian_gamma import checks
+
     sizes = []
 
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def run_checks(ids, max_n, workers):
+        sizes.append(workers)
+        return checks.run_checks(ids, max_n)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, jobs):
-            return map(func, jobs)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("eulerian_gamma.fanout.run_checks", run_checks)
     return sizes
 
 
@@ -321,6 +315,77 @@ def test_verify_negative_threads_exits_2(capsys, pool_sizes):
     assert pool_sizes == []
 
 
+def test_killed_worker_fails_only_its_check(capsys, monkeypatch):
+    """table-1's claim SIGKILLs the worker running it at n = 4; forked
+    workers inherit the rebinding, and this process never dies."""
+    from eulerian_gamma import checks
+
+    check = checks.CHECKS["table-1"]
+    parent = os.getpid()
+
+    def claim(n):
+        if n == 4 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return check.claim(n)
+
+    monkeypatch.setitem(checks.CHECKS, "table-1", check._replace(claim=claim))
+    ids = ["thm-1.1", "table-1", "eq-qmul", "lemma-2.2"]
+    code, out, _ = run_cli(capsys, "verify", *ids, "--max-n", "5", "--threads", "2")
+    assert code == 1
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["check_id"] for r in reports] == ids
+    assert [r["passed"] for r in reports] == [True, False, True, True]
+    lost = reports[1]
+    assert lost["witnesses"] == ["the worker running table-1 was killed by SIGKILL"]
+    assert lost["n_range"] == [1, 0]
+
+
+def test_worker_answers_longer_than_a_pipe_arrive_whole(capsys, monkeypatch):
+    """Each eq-qmul report carries 300 kB of witnesses, several times what
+    a pipe holds; both copies reach the parent whole and in order."""
+    from eulerian_gamma import checks
+
+    check = checks.CHECKS["eq-qmul"]
+    monkeypatch.setitem(checks.CHECKS, "eq-qmul",
+                        check._replace(claim=lambda n: ["x" * 100_000]))
+    ids = ["eq-qmul", "table-1", "eq-qmul"]
+    code, out, _ = run_cli(capsys, "verify", *ids, "--max-n", "3", "--threads", "2")
+    assert code == 1
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["check_id"] for r in reports] == ids
+    long = [f"n={n}: " + "x" * 100_000 for n in (1, 2, 3)]
+    assert [r["witnesses"] for r in reports] == [long, [], long]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_worker_outlives_verify(capsys, monkeypatch):
+    import select
+
+    code, _, _ = run_cli(capsys, "verify", "table-1", "eq-qmul", "--max-n", "4",
+                         "--threads", "2")
+    assert code == 0
+    _no_child_left()
+    real_select = select.select
+    calls = []
+
+    def interrupted_select(*args):
+        if calls:
+            raise KeyboardInterrupt
+        calls.append(args)
+        return real_select(*args)
+
+    monkeypatch.setattr(select, "select", interrupted_select)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(capsys, "verify", "thm-1.1", "lemma-2.2", "eq-qmul", "--max-n", "6",
+                "--threads", "2")
+    assert len(calls) == 1
+    _no_child_left()
+
+
 # Imports eulerian_gamma.<argv[1]> in one fresh process, runs each argv
 # given as JSON through its main, and prints every (exit code, stdout) and
 # the modules loaded by then.
@@ -338,7 +403,7 @@ print(json.dumps({"outputs": outputs, "modules": sorted(sys.modules)}))
 """
 
 _SERIAL_UNUSED = {"concurrent.futures", "multiprocessing", "dataclasses",
-                  "inspect", "traceback"}
+                  "inspect", "traceback", "eulerian_gamma.fanout"}
 _VERIFY = ["verify", "table-1", "eq-qmul", "--max-n", "4", "--threads"]
 
 
@@ -372,7 +437,8 @@ def test_serial_commands_load_neither_the_pool_nor_dataclasses():
     assert not _SERIAL_UNUSED & modules
     [(code, out)], pool_modules = probe("cli", _VERIFY + ["2"])
     assert code == 0
-    assert "concurrent.futures" in pool_modules
+    assert not {"concurrent.futures", "multiprocessing"} & pool_modules
+    assert "eulerian_gamma.fanout" in pool_modules
     assert _reports_without_timing(out) == _reports_without_timing(outputs[0][1])
 
 

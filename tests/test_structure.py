@@ -361,7 +361,7 @@ def test_registry_meets_the_benchmark_ceilings(monkeypatch):
 UNLOADED = {
     "perm": {"checks", "families", "mpoly", "series"},
     "cli": {"checks", "series", "actions", "bijections", "families", "mpoly",
-            "rixfact"},
+            "rixfact", "fanout"},
     "bijections": {"actions", "families", "mpoly"},
 }
 
