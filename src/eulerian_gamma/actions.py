@@ -42,11 +42,26 @@ def foata_strehl(w: WordT, x: int) -> WordT:
 
 def mfs_single(w: WordT, x: int) -> WordT:
     """phi_x': hop x if it is a double ascent or double descent, i.e. if
-    exactly one of its two small-letter blocks is empty."""
-    lo, pos, hi = _x_blocks(w, x)
-    if (lo == pos) == (pos + 1 == hi):  # peak or valley
+    exactly one of its two small-letter blocks is empty.  x's two
+    neighbours decide that, so only a non-empty block is ever scanned."""
+    n = len(w)
+    if not 1 <= x <= n:
+        raise LabelOutOfRange(f"label {x} not in 1..{n}")
+    pos = w.index(x)
+    right = pos + 1
+    if pos and w[pos - 1] < x:
+        if right < n and w[right] < x:  # peak
+            return w
+        lo = pos - 1
+        while lo and w[lo - 1] < x:
+            lo -= 1
+        return w[:lo] + w[pos:right] + w[lo:pos] + w[right:]
+    if right == n or w[right] > x:  # valley
         return w
-    return _hop(w, lo, pos, hi)
+    hi = right + 1
+    while hi < n and w[hi] < x:
+        hi += 1
+    return w[:pos] + w[right:hi] + w[pos:right] + w[hi:]
 
 
 def _frozen(w: WordT) -> frozenset[int]:

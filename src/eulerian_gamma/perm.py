@@ -105,38 +105,51 @@ def cda_count(w: Sequence[int]) -> int:
     return sum(1 for i in range(1, len(w) + 1) if inv[i - 1] < i < w[i - 1])
 
 
-def _framed(w: Sequence[int]) -> Iterator[tuple[int, int, int]]:
-    """(left, letter, right) for each letter of w, with the boundary
-    convention sigma_0 = sigma_{n+1} = +infinity (n + 1 stands in)."""
+def _framed(w: Sequence[int]) -> WordT:
+    """The framed word (n + 1, *w, n + 1): the boundary convention
+    sigma_0 = sigma_{n+1} = +infinity, with n + 1 standing in.  Each shape
+    kernel walks it once, carrying the rolling pair (left, letter)."""
     inf = len(w) + 1
-    p = (inf, *w, inf)
-    return zip(p, p[1:], p[2:])
+    return (inf, *w, inf)
 
 
 def shape_counts(w: Sequence[int]) -> tuple[int, int, int, int]:
     """(dd, da, peak, valley) under the +infinity boundary convention."""
+    p = _framed(w)
     dd = da = peak = 0
-    for left, v, right in _framed(w):
+    left, v = p[0], p[1]
+    for right in p[2:]:
         if left > v > right:
             dd += 1
         elif left < v < right:
             da += 1
         elif left < v > right:
             peak += 1
+        left, v = v, right
     return dd, da, peak, len(w) - dd - da - peak
 
 
 def dd_count(w: Sequence[int]) -> int:
+    p = _framed(w)
     count = 0
-    for left, v, right in _framed(w):
+    left, v = p[0], p[1]
+    for right in p[2:]:
         if left > v > right:
             count += 1
+        left, v = v, right
     return count
 
 
 def dd_letters(w: Sequence[int]) -> list[int]:
     """The double-descent letters of w, left to right."""
-    return [v for left, v, right in _framed(w) if left > v > right]
+    p = _framed(w)
+    out = []
+    left, v = p[0], p[1]
+    for right in p[2:]:
+        if left > v > right:
+            out.append(v)
+        left, v = v, right
+    return out
 
 
 def admissible_inversion_count(w: Sequence[int]) -> int:

@@ -100,15 +100,17 @@ def rix_factorize(w: WordT) -> RixFactorization:
         alphas.append(w[start: pos + 1])
         start = pos + 1
     beta = w[start:]
-    kind = hook_kind(beta)
     beta1 = beta[0]
     # RIX: the letters >= beta1 of beta's maximal increasing suffix, which
     # ends at max(beta) for an L-hook and lies below beta1 for an F-hook
     cut = len(beta)
-    if kind == L_HOOK:
+    if beta[-1] == max(beta):  # an L-hook, a single letter included
+        kind = L_HOOK
         cut -= 1
         while cut and beta1 <= beta[cut - 1] < beta[cut]:
             cut -= 1
+    else:  # the last cut leaves max(beta) in first place
+        kind = F_HOOK
     return RixFactorization(tuple(alphas), beta, kind, beta1,
                             frozenset(beta[cut:]))
 

@@ -34,7 +34,7 @@ def test_x_factorization_label_range():
         foata_strehl((2, 1, 3), 4)
     with pytest.raises(LabelOutOfRange):
         mfs_single((2, 1, 3), 0)
-    # the restricted hop leaves the range check to the x-factorization
+    # the restricted hop leaves the range check to mfs_single
     for w, x in (((2, 1, 3), 0), ((2, 1, 3), 4), ((), 1)):
         with pytest.raises(LabelOutOfRange, match=rf"^label {x} not in 1\.\.{len(w)}$"):
             restricted_mfs_single(w, x)

@@ -4,10 +4,13 @@ through hook cycles and word_from_cycles, the standard cycle form by
 rotating and sorting the cycles, phi_inv by concatenating its parts, ai
 through the next greater letter of each w_i, inv by counting the smaller
 letters after each w_i, cda by walking each cycle, des and the
-derangement test by comparing letters pairwise, and the restricted orbit
-start rule by testing every double descent for a frozen letter.  Each
-reference is asserted equal to its kernel on every word of S_n for n <= 8
-and on seeded random words up to n = 200."""
+derangement test by comparing letters pairwise, the restricted orbit
+start rule by testing every double descent for a frozen letter, dd, the
+double-descent letters and the shape counts by comparing each letter with
+its literal neighbours (n + 1 past either end), and the modified hops by
+cutting out the x-factorization w1 w2 x w3 w4 of each x.  Each reference
+is asserted equal to its kernel on every word of S_n for n <= 8 and on
+seeded random words up to n = 200."""
 
 import random
 from typing import Sequence
@@ -18,10 +21,12 @@ from eulerian_gamma import actions, bijections, checks, rixfact
 from eulerian_gamma.perm import (
     admissible_inversion_count,
     cda_count,
+    dd_count,
     dd_letters,
     des,
     inv_count,
     is_derangement,
+    shape_counts,
     words,
 )
 
@@ -177,6 +182,55 @@ def literal_derangement(w):
     return all(v != i for i, v in enumerate(w, 1))
 
 
+def _literal_shapes(w):
+    """Each letter's shape from its two neighbours, n + 1 past either end."""
+    end = len(w) + 1
+    shapes = []
+    for i, v in enumerate(w):
+        left = w[i - 1] if i > 0 else end
+        right = w[i + 1] if i + 1 < len(w) else end
+        if left > v > right:
+            shapes.append("dd")
+        elif left < v < right:
+            shapes.append("da")
+        elif left < v > right:
+            shapes.append("peak")
+        else:
+            shapes.append("valley")
+    return shapes
+
+
+def literal_dd_count(w):
+    return _literal_shapes(w).count("dd")
+
+
+def literal_dd_letters(w):
+    return [v for v, shape in zip(w, _literal_shapes(w)) if shape == "dd"]
+
+
+def literal_shape_counts(w):
+    shapes = _literal_shapes(w)
+    return tuple(shapes.count(s) for s in ("dd", "da", "peak", "valley"))
+
+
+def _literal_mfs_hops(w):
+    """For each x, its x-factorization w1 w2 x w3 w4 (w2 and w3 the maximal
+    blocks of letters smaller than x beside it), hopped to w1 w3 x w2 w4
+    exactly when one of w2 and w3 is empty."""
+    hops = []
+    for x in range(1, len(w) + 1):
+        pos = w.index(x)
+        lo = pos
+        while lo > 0 and w[lo - 1] < x:
+            lo -= 1
+        hi = pos + 1
+        while hi < len(w) and w[hi] < x:
+            hi += 1
+        w1, w2, w3, w4 = w[:lo], w[lo:pos], w[pos + 1:hi], w[hi:]
+        hops.append(w1 + w3 + (x,) + w2 + w4 if (not w2) != (not w3) else w)
+    return hops
+
+
 def _literal_dd_all_frozen(w):
     """Every double-descent letter is frozen under the restricted action."""
     return set(dd_letters(w)) <= actions._frozen(w)
@@ -193,6 +247,10 @@ KERNELS = [
     ("des", des, literal_des),
     ("is_derangement", is_derangement, literal_derangement),
     ("dd_all_frozen", checks._dd_all_frozen, _literal_dd_all_frozen),
+    ("dd_count", dd_count, literal_dd_count),
+    ("dd_letters", dd_letters, literal_dd_letters),
+    ("shape_counts", shape_counts, literal_shape_counts),
+    ("mfs_hops", actions.mfs_hops, _literal_mfs_hops),
 ]
 LONG_SIZES = (10, 20, 40, 60, 200)
 

@@ -171,8 +171,7 @@ def _mfs_never_hopping_n(w, x):
 
 def _framed_with_boundary_0(w):
     """sigma_0 = sigma_{n+1} = 0 in place of +infinity."""
-    p = (0, *w, 0)
-    return zip(p, p[1:], p[2:])
+    return (0, *w, 0)
 
 
 # (module that defines the kernel, its name, the mutant), one per mutant
